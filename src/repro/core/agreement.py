@@ -22,9 +22,10 @@ Two refinements are provided beyond the paper's estimator:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from ..fusion.dataset import FusionDataset
 from ..fusion.types import SourceId
@@ -53,49 +54,66 @@ class AgreementMatrix:
         return mask
 
 
-def agreement_matrix(dataset: FusionDataset, min_overlap: int = 1) -> AgreementMatrix:
-    """Compute the pairwise agreement matrix ``X`` of Section 4.3.
+def _object_claim_counts(dataset: FusionDataset) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-object claim counts ``m_o`` and domain sizes ``|D_o|``.
 
-    Complexity is ``O(sum_o m_o^2)`` over per-object observation counts,
-    which is fine for the paper-scale datasets (tens of observations per
-    object at most).
+    Domains index their values in first-seen order, so ``|D_o|`` is one
+    more than the largest value index claimed for ``o``.
     """
-    n = dataset.n_sources
-    agree = np.zeros((n, n))
-    overlap = np.zeros((n, n))
-    for o_idx in range(dataset.n_objects):
-        rows = dataset.object_observation_rows(o_idx)
-        if rows.shape[0] < 2:
-            continue
-        sources = dataset.obs_source_idx[rows]
-        values = dataset.obs_value_idx[rows]
-        same = values[:, None] == values[None, :]
-        for a in range(sources.shape[0]):
-            sa = sources[a]
-            for b in range(a + 1, sources.shape[0]):
-                sb = sources[b]
-                overlap[sa, sb] += 1
-                overlap[sb, sa] += 1
-                if same[a, b]:
-                    agree[sa, sb] += 1
-                    agree[sb, sa] += 1
+    sizes = np.zeros(dataset.n_objects, dtype=np.int64)
+    np.maximum.at(sizes, dataset.obs_object_idx, dataset.obs_value_idx + 1)
+    return np.bincount(dataset.obs_object_idx, minlength=dataset.n_objects), sizes
+
+
+def _agreement_counts(
+    dataset: FusionDataset, min_overlap: int
+) -> Tuple[AgreementMatrix, np.ndarray]:
+    """The agreement matrix plus the agreeing-claim counts behind it.
+
+    Both counts are exact integers held in float64: the Gram products of
+    the source x object and source x (object, value) incidence matrices.
+    Cells are numbered object by object, ``|D_o|`` apiece, so the cell
+    matrix has at most ``n_observations`` columns however wide one
+    object's domain is.
+    """
+    sources, objects = dataset.obs_source_idx, dataset.obs_object_idx
+    n_sources, n_objects = dataset.n_sources, dataset.n_objects
+    _, sizes = _object_claim_counts(dataset)
+    offsets = np.cumsum(sizes) - sizes
+    ones = np.ones(sources.shape[0])
+    by_object = sparse.csr_matrix((ones, (sources, objects)), shape=(n_sources, n_objects))
+    by_cell = sparse.csr_matrix(
+        (ones, (sources, offsets[objects] + dataset.obs_value_idx)),
+        shape=(n_sources, int(sizes.sum())),
+    )
+    overlap = (by_object @ by_object.T).toarray()
+    agree = (by_cell @ by_cell.T).toarray()
+    np.fill_diagonal(overlap, 0.0)
+    np.fill_diagonal(agree, 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         rate = agree / overlap
     scores = 2.0 * rate - 1.0
     scores[overlap < min_overlap] = np.nan
-    return AgreementMatrix(scores=scores, overlaps=overlap)
+    return AgreementMatrix(scores=scores, overlaps=overlap), agree
+
+
+def agreement_matrix(dataset: FusionDataset, min_overlap: int = 1) -> AgreementMatrix:
+    """Compute the pairwise agreement matrix ``X`` of Section 4.3.
+
+    Its counts are a self-join of the claims on object, of size
+    ``sum_o m_o^2``, computed as two sparse Gram products over incidence
+    matrices with one nonzero per observation.
+    """
+    return _agreement_counts(dataset, min_overlap)[0]
 
 
 def average_domain_size(dataset: FusionDataset) -> float:
     """Mean number of distinct claimed values over conflicted objects."""
-    sizes = [
-        len(dataset.domain_by_index(o_idx))
-        for o_idx in range(dataset.n_objects)
-        if dataset.object_observation_rows(o_idx).shape[0] >= 2
-    ]
-    if not sizes:
+    counts, sizes = _object_claim_counts(dataset)
+    conflicted = sizes[counts >= 2]
+    if not conflicted.size:
         return 2.0
-    return float(np.mean(sizes))
+    return float(np.mean(conflicted))
 
 
 def estimate_average_accuracy(

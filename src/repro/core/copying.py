@@ -34,6 +34,7 @@ agreement threshold would flood the model with false candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -43,6 +44,7 @@ from ..fusion.result import FusionResult
 from ..fusion.types import DatasetError, NotFittedError, ObjectId, SourceId, Value
 from ..optim.objectives import segment_softmax
 from ..optim.solvers import minimize_lbfgs
+from .agreement import _agreement_counts, average_domain_size, estimate_average_accuracy
 from .erm import ERMConfig, ERMLearner
 from .inference import expected_correctness, pair_scores
 from .model import AccuracyModel
@@ -75,57 +77,58 @@ def find_candidate_pairs(
     ``max_pairs`` strongest pairs (by z-score, then overlap) are kept so
     the extension stays linear in practice.
     """
-    stats: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    for o_idx in range(dataset.n_objects):
-        rows = dataset.object_observation_rows(o_idx)
-        if rows.shape[0] < 2:
-            continue
-        sources = dataset.obs_source_idx[rows]
-        values = dataset.obs_value_idx[rows]
-        for a in range(sources.shape[0]):
-            for b in range(a + 1, sources.shape[0]):
-                key = (int(min(sources[a], sources[b])), int(max(sources[a], sources[b])))
-                overlap, agree = stats.get(key, (0, 0))
-                stats[key] = (overlap + 1, agree + int(values[a] == values[b]))
-
-    eligible = {
-        key: (overlap, agree)
-        for key, (overlap, agree) in stats.items()
-        if overlap >= min_overlap
-    }
-    if not eligible:
+    matrix, agree = _agreement_counts(dataset, min_overlap=1)
+    overlap = matrix.overlaps
+    first_idx, second_idx = np.nonzero(np.triu(overlap >= max(min_overlap, 1), k=1))
+    if not first_idx.size:
         return []
     # Baseline: the agreement rate two *independent* sources of average
     # accuracy would show.  Pooling the observed rates instead would be
     # contaminated — at low density the high-overlap pairs are mostly the
     # copiers themselves.
-    from .agreement import average_domain_size, estimate_average_accuracy
-
-    avg_accuracy = estimate_average_accuracy(dataset)
+    avg_accuracy = estimate_average_accuracy(dataset, matrix=matrix)
     k = max(average_domain_size(dataset), 2.0)
     independent_rate = avg_accuracy**2 + (1.0 - avg_accuracy) ** 2 / (k - 1.0)
     base_rate = min(max(independent_rate, 1e-6), 1.0 - 1e-6)
 
-    candidates = []
-    for (sa, sb), (overlap, agree) in eligible.items():
-        rate = agree / overlap
-        if rate < min_agreement:
-            continue
-        stderr = float(np.sqrt(base_rate * (1.0 - base_rate) / overlap))
-        z_score = (rate - base_rate) / stderr
-        if z_score < z_threshold:
-            continue
-        candidates.append(
-            SourcePair(
-                first=dataset.sources.item(sa),
-                second=dataset.sources.item(sb),
-                overlap=overlap,
-                agreement_rate=rate,
-                z_score=z_score,
-            )
+    shared = overlap[first_idx, second_idx]
+    rates = agree[first_idx, second_idx] / shared
+    z_scores = (rates - base_rate) / np.sqrt(base_rate * (1.0 - base_rate) / shared)
+    keep = (rates >= min_agreement) & (z_scores >= z_threshold)
+    candidates = [
+        SourcePair(
+            first=dataset.sources.item(int(sa)),
+            second=dataset.sources.item(int(sb)),
+            overlap=int(n_shared),
+            agreement_rate=float(rate),
+            z_score=float(z_score),
         )
-    candidates.sort(key=lambda pair: (-pair.z_score, -pair.overlap, repr(pair.first)))
-    return candidates[:max_pairs]
+        for sa, sb, n_shared, rate, z_score in zip(
+            first_idx[keep], second_idx[keep], shared[keep], rates[keep], z_scores[keep]
+        )
+    ]
+
+    def rank(pair: SourcePair) -> Tuple[float, int, str]:
+        return (-pair.z_score, -pair.overlap, repr(pair.first))
+
+    kept: List[SourcePair] = []
+    for _, group in groupby(sorted(candidates, key=rank), key=rank):
+        if len(kept) >= max_pairs:
+            break
+        # Ties go in the order an object-major scan of the claims first
+        # meets each pair: by object index, then claim rows.
+        kept.extend(sorted(group, key=lambda pair: _first_meeting(dataset, pair)))
+    return kept[:max_pairs]
+
+
+def _first_meeting(dataset: FusionDataset, pair: SourcePair) -> Tuple[int, int, int]:
+    """``(object, row, row)`` of the first object both sources of ``pair`` claim."""
+    rows_a = dataset.source_observation_rows(dataset.sources.index(pair.first))
+    rows_b = dataset.source_observation_rows(dataset.sources.index(pair.second))
+    objects = dataset.obs_object_idx
+    shared, at_a, at_b = np.intersect1d(objects[rows_a], objects[rows_b], return_indices=True)
+    row_a, row_b = int(rows_a[at_a[0]]), int(rows_b[at_b[0]])
+    return int(shared[0]), min(row_a, row_b), max(row_a, row_b)
 
 
 def build_extra_features(

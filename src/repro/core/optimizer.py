@@ -43,7 +43,7 @@ from scipy import stats
 from ..fusion.dataset import FusionDataset
 from ..fusion.metrics import binary_entropy
 from ..fusion.types import ObjectId, Value
-from .agreement import estimate_average_accuracy
+from .agreement import _object_claim_counts, estimate_average_accuracy
 from .guarantees import erm_generalization_bound
 
 
@@ -100,24 +100,14 @@ def em_information_units(
     if vote_threshold not in ("majority", "paper"):
         raise ValueError(f"unknown vote_threshold {vote_threshold!r}")
     avg_accuracy = float(np.clip(avg_accuracy, 1e-6, 1.0 - 1e-6))
-    total = 0.0
-    for o_idx in range(dataset.n_objects):
-        m = int(dataset.object_observation_rows(o_idx).shape[0])
-        if m == 0:
-            continue
-        n_distinct = len(dataset.domain_by_index(o_idx))
-        if n_distinct <= 1:
-            # Unanimous objects: majority vote is trivially "correct" under
-            # the optimizer's model; they carry a full unit each.
-            p_e = 1.0
-        else:
-            divisor = 2 if vote_threshold == "majority" else n_distinct
-            threshold = m // divisor
-            p_e = float(1.0 - stats.binom.cdf(threshold, m, avg_accuracy))
-        if p_e >= 0.5:
-            units = 1.0 - binary_entropy(p_e)
-            total += units * m if per_observation else units
-    return total
+    counts, sizes = _object_claim_counts(dataset)
+    divisor = 2 if vote_threshold == "majority" else sizes
+    p_e = 1.0 - stats.binom.cdf(counts // divisor, counts, avg_accuracy)
+    # Unanimous objects: majority vote is trivially "correct" under the
+    # optimizer's model; they carry a full unit each.
+    p_e[sizes <= 1] = 1.0
+    units = np.where(p_e >= 0.5, 1.0 - binary_entropy(p_e), 0.0)
+    return float(np.sum(units * counts if per_observation else units))
 
 
 def erm_information_units(
@@ -128,12 +118,9 @@ def erm_information_units(
     """Ground-truth units: ``|G|``, or total observations on labeled objects."""
     if not per_observation:
         return float(len(truth))
-    total = 0
-    for obj in truth:
-        if obj in dataset.objects:
-            o_idx = dataset.objects.index(obj)
-            total += int(dataset.object_observation_rows(o_idx).shape[0])
-    return float(total)
+    counts, _ = _object_claim_counts(dataset)
+    labeled = [dataset.objects.index(obj) for obj in truth if obj in dataset.objects]
+    return float(counts[labeled].sum())
 
 
 def decide(
@@ -159,12 +146,10 @@ def decide(
     """
     n_labels = len(truth)
     bound = erm_generalization_bound(n_features, n_labels) if n_labels else float("inf")
+    accuracy = avg_accuracy
+    if accuracy is None:
+        accuracy = estimate_average_accuracy(dataset, method=accuracy_method)
     if n_labels and bound < tau:
-        accuracy = (
-            avg_accuracy
-            if avg_accuracy is not None
-            else estimate_average_accuracy(dataset, method=accuracy_method)
-        )
         return OptimizerDecision(
             algorithm="erm",
             reason="bound",
@@ -173,12 +158,6 @@ def decide(
             estimated_accuracy=accuracy,
             bound=bound,
         )
-
-    accuracy = (
-        avg_accuracy
-        if avg_accuracy is not None
-        else estimate_average_accuracy(dataset, method=accuracy_method)
-    )
     erm_units = erm_information_units(dataset, truth, per_observation)
     em_units = em_information_units(dataset, accuracy, per_observation, vote_threshold)
     algorithm = "em" if erm_units < em_units else "erm"

@@ -47,6 +47,14 @@ class Split:
     test_objects: Tuple[ObjectId, ...]
 
 
+def _reject_nonfinite_features(metadata: Mapping[SourceId, Mapping[str, object]]) -> None:
+    """Raise :class:`DatasetError` on a NaN or infinite numeric feature value."""
+    for source, feats in metadata.items():
+        for name, value in feats.items():
+            if isinstance(value, (float, np.floating)) and not np.isfinite(value):
+                raise DatasetError(f"source {source!r} feature {name!r} is not finite: {value!r}")
+
+
 class FusionDataset:
     """Immutable collection of source observations plus optional side data.
 
@@ -61,7 +69,7 @@ class FusionDataset:
         :meth:`split`.
     source_features:
         Optional mapping ``source id -> {feature name: feature value}``.
-        Feature values may be booleans, categoricals or numerics; the
+        Feature values may be booleans, categoricals or finite numerics; the
         :mod:`repro.fusion.features` module turns them into binary columns.
     true_accuracies:
         Optional mapping ``source id -> true accuracy`` used only for
@@ -112,6 +120,7 @@ class FusionDataset:
         self.source_features: Dict[SourceId, Dict[str, object]] = {
             src: dict(feats) for src, feats in (source_features or {}).items()
         }
+        _reject_nonfinite_features(self.source_features)
         self.true_accuracies: Dict[SourceId, float] = dict(true_accuracies or {})
 
         self._build_indices()

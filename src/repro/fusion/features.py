@@ -34,7 +34,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from .dataset import FusionDataset
+from .dataset import FusionDataset, _reject_nonfinite_features
 from .types import DatasetError, Indexer, SourceId
 
 #: Bump when the encoding logic changes in a way that invalidates cached
@@ -212,6 +212,7 @@ class FeatureSpace:
             )
             self.fit(metadata.source_features)
             return self.transform(metadata)
+        _reject_nonfinite_features(metadata)
         self._reset()
         names = sorted({name for feats in metadata.values() for name in feats})
 

@@ -15,7 +15,7 @@ binary entropy used by the optimizer's information-units model.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -137,11 +137,16 @@ def mean_accuracy_kl(estimated: Mapping[SourceId, float], true: Mapping[SourceId
     return float(np.mean(divergences))
 
 
-def binary_entropy(p: float) -> float:
-    """Entropy (bits) of a Bernoulli(p) variable; 0 at the endpoints."""
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
+def binary_entropy(p: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+    """Entropy (bits) of a Bernoulli(p) variable; 0 at the endpoints.
+
+    Elementwise on arrays; a scalar ``p`` gives a ``float``.
+    """
+    p = np.asarray(p, dtype=float)
+    endpoint = (p <= 0.0) | (p >= 1.0)
+    q = np.where(endpoint, 0.5, p)
+    entropy = np.where(endpoint, 0.0, -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q))
+    return float(entropy) if entropy.ndim == 0 else entropy
 
 
 def log_loss(

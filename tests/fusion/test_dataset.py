@@ -25,6 +25,11 @@ class TestConstruction:
         with pytest.raises(DatasetError, match="unknown object"):
             FusionDataset([("s", "o", "a")], ground_truth={"nope": "a"})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_source_feature_rejected(self, bad):
+        with pytest.raises(DatasetError, match="source 's1'.*feature 'f'"):
+            FusionDataset([("s1", "o", "a")], source_features={"s1": {"f": bad, "g": 1.0}})
+
     def test_name_defaults(self):
         assert FusionDataset([("s", "o", "a")]).name == "fusion-dataset"
 

@@ -52,6 +52,12 @@ class TestNumericFeatures:
         assert design.shape[1] == 1
         assert np.all(design == 1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), np.inf, np.float32("-inf")])
+    def test_non_finite_value_rejected(self, bad):
+        metadata = {"s1": {"x": 1.0}, "s2": {"x": bad}}
+        with pytest.raises(DatasetError, match="source 's2'.*feature 'x'"):
+            FeatureSpace(n_bins=2).fit(metadata)
+
     def test_three_bins_labels(self):
         ds = _dataset([{"x": float(i)} for i in range(9)])
         space = FeatureSpace(n_bins=3)
