@@ -3,12 +3,15 @@
 Times the hot paths that the dense-encoding layer (``repro.fusion.encoding``)
 rewrote — posterior queries, array-native fusion-result packaging, the EM
 E-step and full EM/ERM fits (including the warm-started second-order
-M-step) — under both backends, plus two engine-vs-engine cases:
+M-step) — on the library and on the loop implementations it replaced,
+which live on as test oracles in ``tests/oracles`` (this script puts
+``tests/`` on ``sys.path`` itself; library fits reach the oracles through
+``oracles.reference_engine()``).  Also timed are engine-vs-engine cases:
 ``sweep_16`` (a 16-point EM sweep run by the batched ``SweepRunner``
 versus sequential isolated fits), ``sweep_16_par`` (the same sweep fanned
 out across ``--sweep-jobs`` worker processes versus serial batched) and
-``stream_append`` (the vectorized streaming fuser over an incremental
-encoding versus the reference dict-per-observation replay).  Writes a
+``stream_append`` (the array streaming fuser over an incremental
+encoding versus the oracle's dict-per-observation replay).  Writes a
 ``BENCH_inference.json`` trajectory artifact with
 per-case median runtimes and speedups.  The per-factor reference Gibbs
 comparison runs only in full (non-smoke) mode; its equivalence is covered
@@ -53,6 +56,9 @@ try:
     import resource
 except ImportError:  # pragma: no cover - non-POSIX platforms
     resource = None
+
+#: The loop oracles (the "reference" column of most cases) are test code.
+TESTS_DIR = Path(__file__).resolve().parents[1] / "tests"
 
 DEFAULT_OUTPUT = Path(__file__).parent / "results" / "BENCH_inference.json"
 BASELINE_PATH = Path(__file__).parent / "BENCH_inference.json"
@@ -126,6 +132,10 @@ def _generate(n_sources: int, n_objects: int, n_observations: int, seed: int = 0
 def run_benchmarks(smoke: bool, n_observations: int, repeats: int, sweep_jobs: int = 4) -> dict:
     import numpy as np
 
+    if str(TESTS_DIR) not in sys.path:
+        sys.path.insert(0, str(TESTS_DIR))
+    import oracles
+
     from repro.core.em import EMLearner
     from repro.core.erm import ERMLearner
     from repro.core.inference import (
@@ -133,7 +143,6 @@ def run_benchmarks(smoke: bool, n_observations: int, repeats: int, sweep_jobs: i
         map_assignment,
         map_rows,
         posterior_rows,
-        posteriors,
     )
     from repro.core.structure import build_pair_structure
     from repro.fusion.encoding import encode_dataset
@@ -160,8 +169,8 @@ def run_benchmarks(smoke: bool, n_observations: int, repeats: int, sweep_jobs: i
     model = ERMLearner().fit(dataset, truth)
     trust = model.trust_scores()
 
-    structure_ref = build_pair_structure(dataset, backend="reference")
-    structure_vec = build_pair_structure(dataset, backend="vectorized")
+    structure_ref = oracles.build_pair_structure(dataset)
+    structure_vec = build_pair_structure(dataset)
     label_rows = structure_vec.label_rows(truth)
 
     cases = []
@@ -184,29 +193,30 @@ def run_benchmarks(smoke: bool, n_observations: int, repeats: int, sweep_jobs: i
             file=sys.stderr,
         )
 
+    def on_oracles(fit):
+        """Run a library fit with its structure/E-step/pair functions on the oracles."""
+
+        def run():
+            with oracles.reference_engine():
+                return fit()
+
+        return run
+
     case(
         "structure_compile",
-        lambda: build_pair_structure(dataset, backend="reference"),
-        lambda: build_pair_structure(dataset, backend="vectorized"),
+        lambda: oracles.build_pair_structure(dataset),
+        lambda: build_pair_structure(dataset),
     )
 
     def _query_reference():
         # End-to-end MAP query exactly as the pre-vectorization facade ran
         # it: re-walk the dataset into a structure, package per-object
         # dicts, scan them for the argmax.
-        structure = build_pair_structure(dataset, backend="reference")
-        return map_assignment(
-            posteriors(
-                dataset,
-                model,
-                structure=structure,
-                clamp=truth,
-                backend="reference",
-            )
-        )
+        structure = oracles.build_pair_structure(dataset)
+        return map_assignment(oracles.posteriors(dataset, model, structure=structure, clamp=truth))
 
     def _query_vectorized():
-        structure = build_pair_structure(dataset, backend="vectorized")
+        structure = build_pair_structure(dataset)
         return map_rows(structure, posterior_rows(structure, model), clamp=truth)
 
     case("posterior_query", _query_reference, _query_vectorized)
@@ -217,13 +227,7 @@ def run_benchmarks(smoke: bool, n_observations: int, repeats: int, sweep_jobs: i
     accuracies = model.accuracies()
     case(
         "posterior_package",
-        lambda: posteriors(
-            dataset,
-            model,
-            structure=structure_ref,
-            clamp=truth,
-            backend="reference",
-        ),
+        lambda: oracles.posteriors(dataset, model, structure=structure_ref, clamp=truth),
         lambda: FusionResult.from_rows(
             structure_vec,
             posterior_rows(structure_vec, model),
@@ -234,38 +238,29 @@ def run_benchmarks(smoke: bool, n_observations: int, repeats: int, sweep_jobs: i
     )
     case(
         "em_estep",
-        lambda: expected_correctness(structure_ref, trust, label_rows, backend="reference"),
-        lambda: expected_correctness(structure_vec, trust, label_rows, backend="vectorized"),
+        lambda: oracles.expected_correctness(structure_ref, trust, label_rows),
+        lambda: expected_correctness(structure_vec, trust, label_rows),
     )
 
     em_rounds = 3 if smoke else 5
     case(
         "em_fit",
-        lambda: EMLearner(
-            max_iterations=em_rounds, tolerance=0.0, backend="reference"
-        ).fit(dataset, truth),
-        lambda: EMLearner(
-            max_iterations=em_rounds, tolerance=0.0, backend="vectorized"
-        ).fit(dataset, truth),
+        on_oracles(lambda: EMLearner(max_iterations=em_rounds, tolerance=0.0).fit(dataset, truth)),
+        lambda: EMLearner(max_iterations=em_rounds, tolerance=0.0).fit(dataset, truth),
     )
     # Warm-started second-order M-step vs the original scipy-per-round
     # reference path: the headline end-to-end EM comparison.
     case(
         "em_fit_warm",
-        lambda: EMLearner(
-            max_iterations=em_rounds, tolerance=0.0, backend="reference"
-        ).fit(dataset, truth),
-        lambda: EMLearner(
-            max_iterations=em_rounds,
-            tolerance=0.0,
-            backend="vectorized",
-            solver="lbfgs-warm",
-        ).fit(dataset, truth),
+        on_oracles(lambda: EMLearner(max_iterations=em_rounds, tolerance=0.0).fit(dataset, truth)),
+        lambda: EMLearner(max_iterations=em_rounds, tolerance=0.0, solver="lbfgs-warm").fit(
+            dataset, truth
+        ),
     )
     case(
         "erm_fit",
-        lambda: ERMLearner(backend="reference").fit(dataset, truth),
-        lambda: ERMLearner(backend="vectorized").fit(dataset, truth),
+        on_oracles(lambda: ERMLearner().fit(dataset, truth)),
+        lambda: ERMLearner().fit(dataset, truth),
     )
 
     # 16-point EM sweep (train fractions x ridge strengths) over one
@@ -309,15 +304,15 @@ def run_benchmarks(smoke: bool, n_observations: int, repeats: int, sweep_jobs: i
         case_repeats=min(repeats, 3),
     )
 
-    # Streaming ingest: incremental encoding + vectorized batch scatters
-    # versus the reference dict-per-observation replay of the same stream
-    # (same random order, same truth reveal).
+    # Streaming ingest: incremental encoding + batch scatters versus the
+    # oracle's dict-per-observation replay of the same stream (same random
+    # order, same truth reveal).
     from repro.extensions.streaming import replay_dataset
 
     case(
         "stream_append",
-        lambda: replay_dataset(dataset, truth, seed=0, backend="reference"),
-        lambda: replay_dataset(dataset, truth, seed=0, backend="vectorized", batch_size=256),
+        lambda: oracles.replay_dataset(dataset, truth, seed=0),
+        lambda: replay_dataset(dataset, truth, seed=0, batch_size=256),
         case_repeats=min(repeats, 3),
     )
 

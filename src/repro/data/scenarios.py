@@ -239,8 +239,8 @@ class Scenario:
         """Drive a :class:`~repro.extensions.streaming.StreamingFuser`.
 
         Each step's batch is observed (as one bulk batch, or observation
-        by observation when ``one_by_one`` — the mode that is bit-identical
-        to the reference backend), then the step's truth reveals are fed.
+        by observation when ``one_by_one`` — the exact sequential replay),
+        then the step's truth reveals are fed.
         Returns the fuser.
         """
         for step in self.steps:

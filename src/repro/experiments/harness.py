@@ -358,8 +358,8 @@ def scenario(
     ``"majority"``) fit once on the accumulated stream with the revealed
     truth and are scored on the same checkpoints with their final values,
     showing what a static model can and cannot track.  The differential
-    pins over this report (decay=1.0 equals flat, decayed beats flat on
-    step drift) live in ``tests/scenarios/``.
+    pins over this report (``DecayConfig()`` equals flat, decayed beats
+    flat on step drift) live in ``tests/scenarios/``.
     """
     from ..extensions.streaming import DecayConfig, StreamingFuser
 

@@ -1,13 +1,12 @@
-"""Dense array encoding of a fusion dataset (the vectorized engine's core).
+"""Dense array encoding of a fusion dataset (the array engine's core).
 
 Every hot path in the library — exact posteriors, the EM E-step, ERM
 objectives and the factor-graph Gibbs sweeps — needs the same bookkeeping:
 which observations describe which object, which source and claimed value
 each observation carries, and the flattened (object, candidate-value) rows
-the per-object softmax normalizes over.  The reference implementations
-re-derive this by walking per-object dicts in Python on every call; at
-paper scale (tens of thousands of observations) those walks dominate the
-runtime.
+the per-object softmax normalizes over.  Re-deriving this by walking
+per-object dicts in Python on every call would dominate the runtime at
+paper scale (tens of thousands of observations).
 
 :class:`DenseEncoding` compiles all of it **once** into flat NumPy index
 arrays:
@@ -23,10 +22,9 @@ arrays:
 * a cached design matrix per ``use_features`` flag, so repeated fits do not
   re-encode source metadata.
 
-Consumers select the engine through a ``backend`` switch: ``"vectorized"``
-(array reductions over this encoding, the default) or ``"reference"`` (the
-original loop implementations, kept as the machine-checked ground truth —
-see ``tests/test_vectorized_equivalence.py``).
+The loop implementations these arrays replaced live on as test oracles
+(``tests/oracles``); ``tests/test_vectorized_equivalence.py`` holds the
+library to them.
 
 Use :func:`encode_dataset` to obtain the encoding; it memoizes one instance
 per (immutable) dataset, so the compilation cost is paid once per dataset
@@ -51,16 +49,6 @@ import numpy as np
 from .dataset import FusionDataset
 from .features import FeatureSpace, build_design_matrix
 from .types import DatasetError, Indexer, ObjectId, Observation, SourceId, Value
-
-VALID_BACKENDS = ("vectorized", "reference")
-
-
-def check_backend(backend: str) -> str:
-    """Validate a ``backend`` switch value, returning it unchanged."""
-    if backend not in VALID_BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {VALID_BACKENDS}")
-    return backend
-
 
 def frozen_copy(array: np.ndarray) -> np.ndarray:
     """An owning, read-only copy of ``array``.
@@ -934,8 +922,7 @@ class EncodingDatasetView:
 
     The view is *live*: it reads the encoding's current state, so it should
     be consumed before the next append.  Anything needing the full
-    container (ground-truth bookkeeping, observation walks, reference
-    backends) should use :meth:`IncrementalEncoding.to_dataset` instead;
+    container (ground-truth bookkeeping, observation walks) should use :meth:`IncrementalEncoding.to_dataset` instead;
     attribute errors on this view mean exactly that.
     """
 

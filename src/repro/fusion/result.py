@@ -3,7 +3,7 @@
 Since the array-native refactor this container has two interchangeable
 backings:
 
-* **Array-backed** (the vectorized engine's output, built with
+* **Array-backed** (the learners' and streaming fuser's output, built with
   :meth:`FusionResult.from_rows`): the estimate lives in flat NumPy arrays —
   per-object MAP *value codes* into each object's domain, a **ragged CSR
   posterior store** (:class:`~repro.fusion.posterior_store.PosteriorStore`:

@@ -241,7 +241,7 @@ class TestRA2LockDiscipline:
 
 
 # ----------------------------------------------------------------------
-# RA3 — backend parity
+# RA3 — backend dispatch and oracle parity
 # ----------------------------------------------------------------------
 _PARITY_TEST = """
 import pytest
@@ -362,6 +362,66 @@ class TestRA3BackendParity:
         findings = findings_for(root, ["RA3"])
         assert len(findings) == 1
         assert "parity test" in findings[0].message
+
+    def test_oracle_used_by_a_test_is_clean(self, make_tree):
+        root = make_tree(
+            {
+                "tests/oracles/__init__.py": "from .loops import slow_sum\n",
+                "tests/oracles/loops.py": """
+                def slow_sum(values):
+                    total = 0
+                    for value in values:
+                        total += value
+                    return total
+
+                def _helper():
+                    return None
+                """,
+                "tests/test_sum.py": """
+                import oracles
+
+                def test_sum_matches_oracle():
+                    assert sum([1, 2]) == oracles.slow_sum([1, 2])
+                """,
+                "tests/test_other.py": """
+                from oracles.loops import slow_sum
+
+                def test_import_by_name():
+                    assert slow_sum([]) == 0
+                """,
+            }
+        )
+        assert findings_for(root, ["RA3"]) == []
+
+    def test_flags_oracle_without_a_test(self, make_tree):
+        root = make_tree(
+            {
+                "tests/oracles/loops.py": """
+                def slow_sum(values):
+                    return sum(values)
+
+                class SlowCounter:
+                    pass
+                """,
+                # Mentions the name, but not through the oracle package;
+                # the oracle module itself does not count either.
+                "tests/test_sum.py": """
+                def test_library_only():
+                    slow_sum = sum
+                    assert slow_sum([1]) == 1
+                """,
+                "tests/oracles/check.py": """
+                from oracles.loops import SlowCounter
+                """,
+            }
+        )
+        findings = findings_for(root, ["RA3"])
+        assert rule_lines(findings, "RA3") == [
+            ("tests/oracles/loops.py", 2),
+            ("tests/oracles/loops.py", 5),
+        ]
+        assert "'slow_sum'" in findings[0].message
+        assert "'SlowCounter'" in findings[1].message
 
 
 # ----------------------------------------------------------------------

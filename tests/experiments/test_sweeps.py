@@ -24,6 +24,8 @@ from repro.experiments import FitSpec, SweepRunner, leave_one_out_specs, sweep
 from repro.extensions import leave_one_out_impacts
 from repro.fusion.dataset import subset_sources
 
+import oracles
+
 OBJECTIVE_ATOL = 1e-8
 ACCURACY_ATOL = 1e-6
 #: Tightened inner tolerance that makes solver trajectories coincide.
@@ -292,8 +294,8 @@ class TestLeaveOneOutEquivalence:
 
     def test_masked_structure_backends_agree(self, dataset):
         exclude = dataset.sources.items[:2]
-        vec = build_masked_structure(dataset, exclude, backend="vectorized")
-        ref = build_masked_structure(dataset, exclude, backend="reference")
+        vec = build_masked_structure(dataset, exclude)
+        ref = oracles.build_masked_structure(dataset, exclude)
         assert vec.object_ids == ref.object_ids
         assert vec.pair_values == ref.pair_values
         np.testing.assert_array_equal(vec.object_dataset_idx, ref.object_dataset_idx)
@@ -305,7 +307,7 @@ class TestLeaveOneOutEquivalence:
 
     def test_masked_reference_backend_matches_vectorized(self, dataset):
         # The ERM warm start inside a masked EM fit must restrict itself to
-        # the surviving observations on BOTH backends; a reference-backend
+        # the surviving observations, on the library and on the oracles; a
         # masked fit that warm-starts from the full dataset leaks the
         # excluded source's votes into the initialization.
         truth = dataset.split(0.3, seed=2).train_truth
@@ -317,7 +319,8 @@ class TestLeaveOneOutEquivalence:
             overrides={"max_iterations": 5, "solver": "lbfgs", **TIGHT},
         )
         vec = SweepRunner(dataset, mode="isolated").run_one(spec)
-        ref = SweepRunner(dataset, mode="isolated", backend="reference").run_one(spec)
+        with oracles.reference_engine():
+            ref = SweepRunner(dataset, mode="isolated").run_one(spec)
         np.testing.assert_allclose(
             vec.model.accuracies(), ref.model.accuracies(), atol=ACCURACY_ATOL
         )
@@ -343,8 +346,6 @@ class TestRunnerBehaviour:
             SweepRunner(dataset, mode="parallel")
         with pytest.raises(ValueError, match="unknown learner"):
             SweepRunner(dataset).run_one(FitSpec(name="x", learner="gibbs"))
-        with pytest.raises(ValueError, match="vectorized"):
-            SweepRunner(dataset, backend="reference")
 
     def test_erm_requires_truth(self, dataset):
         from repro.fusion.types import DatasetError

@@ -3,16 +3,52 @@
 import numpy as np
 import pytest
 
-from repro.extensions import StreamingFuser, replay_dataset
-from repro.fusion import Observation, object_value_accuracy
+from repro.extensions import DecayConfig, StreamingFuser, replay_dataset
+from repro.fusion import FusionDataset, Observation, object_value_accuracy
+
+import oracles
+
+#: The library fuser and the dict-per-observation oracle it replaced.
+ENGINES = pytest.mark.parametrize(
+    "engine", [oracles.ReferenceStreamingFuser, StreamingFuser], ids=["reference", "vectorized"]
+)
 
 
 class TestStreamingFuserBasics:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            StreamingFuser(decay=0.0)
+            StreamingFuser(prior_correct=0.0)
         with pytest.raises(ValueError):
             StreamingFuser(prior_correct=2.0, prior_total=2.0)
+
+    @pytest.mark.parametrize(
+        "priors",
+        [
+            {"prior_correct": float("nan")},
+            {"prior_total": float("nan")},
+            {"prior_correct": np.float64("nan")},
+            {"prior_total": float("inf")},
+            {"prior_correct": float("-inf")},
+        ],
+        ids=["nan-correct", "nan-total", "numpy-nan", "inf-total", "neg-inf-correct"],
+    )
+    def test_rejects_non_finite_priors(self, priors):
+        # NaN fails every comparison, so an ordering check alone let it
+        # through (every posterior and accuracy came out NaN); an infinite
+        # total drove every accuracy to 0.
+        with pytest.raises(ValueError, match="finite"):
+            StreamingFuser(**priors)
+
+    @pytest.mark.parametrize("batch_size", [0, -5])
+    def test_rejects_non_positive_batch_size(self, batch_size):
+        # A batch size below 1 used to run silently as batch size 1 — the
+        # sequential replay, whose numbers differ from any mini-batch.
+        observations = [Observation("s", "o", "v")]
+        with pytest.raises(ValueError, match="batch_size"):
+            StreamingFuser().run(observations, batch_size=batch_size)
+        dataset = FusionDataset(observations)
+        with pytest.raises(ValueError, match="batch_size"):
+            replay_dataset(dataset, batch_size=batch_size)
 
     def test_single_observation(self):
         fuser = StreamingFuser()
@@ -49,34 +85,26 @@ class TestStreamingFuserBasics:
         fuser.observe(Observation("s2", "o", "b"))
         assert fuser.current_value("o") == "a"
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    def test_decay_shrinks_history(self, backend):
-        fuser = StreamingFuser(decay=0.5, self_training=False, backend=backend)
+    @ENGINES
+    def test_decay_shrinks_history(self, engine):
+        fuser = engine(self_training=False, trust_decay=DecayConfig(half_life=1.0))
         fuser.reveal_truth("o1", "v")
         for i in range(10):
             fuser.observe(
                 Observation("s", "o1", "v") if i == 0 else Observation("s", f"x{i}", "v")
             )
-        if backend == "reference":
-            total = fuser._sources["s"].total
-        else:
+        if engine is StreamingFuser:
             total = float(fuser._total[0])
+        else:
+            total = fuser._sources["s"].total
         # decayed totals stay bounded instead of growing linearly
         assert total < 5.0
 
 
 class TestVectorizedBackend:
-    def test_backend_validation(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            StreamingFuser(backend="numba")
+    def test_refit_every_validation(self):
         with pytest.raises(ValueError, match="refit_every"):
             StreamingFuser(refit_every=0)
-        # The reference engine has no re-fit hook; rejecting the combination
-        # beats silently ignoring the requested periodic re-anchoring.
-        with pytest.raises(ValueError, match="backend='vectorized'"):
-            StreamingFuser(backend="reference", refit_every=100)
-        with pytest.raises(ValueError, match="backend='vectorized'"):
-            StreamingFuser(backend="reference", source_features={"s": {"year": 2017}})
 
     def test_observe_batch_bulk(self):
         fuser = StreamingFuser()
@@ -96,10 +124,10 @@ class TestVectorizedBackend:
         fuser.observe_batch([])
         assert fuser.n_processed == 0
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    def test_empty_fuser_snapshots_cleanly(self, backend):
+    @ENGINES
+    def test_empty_fuser_snapshots_cleanly(self, engine):
         """to_result before any observation returns an empty result."""
-        fuser = StreamingFuser(backend=backend)
+        fuser = engine()
         fuser.reveal_truth("o", "v")  # truth-only state is still empty
         result = fuser.to_result()
         assert result.values == {}

@@ -18,7 +18,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.extensions.streaming import StreamingFuser
+from repro.extensions.streaming import DecayConfig, StreamingFuser
 from repro.serve import FusionServer, ServeMetrics, Snapshot
 from repro.serve.__main__ import main as serve_main
 from repro.serve.__main__ import simulate_batches
@@ -86,18 +86,32 @@ class TestBasics:
         assert metrics.query_counts == {"posterior": 1, "value": 1}
         assert metrics.snapshot_age_seconds() >= 0.0
 
-    def test_rejects_reference_fuser_and_bad_config(self):
-        with pytest.raises(ValueError, match="vectorized"):
-            FusionServer(fuser=StreamingFuser(backend="reference"))
+    def test_rejects_bad_config(self):
         with pytest.raises(ValueError, match="publish_every"):
             FusionServer(publish_every=0)
         with pytest.raises(ValueError, match="fuser_kwargs"):
-            FusionServer(fuser=StreamingFuser(), decay=0.9)
+            FusionServer(fuser=StreamingFuser(), trust_decay=DecayConfig(half_life=10.0))
 
     def test_fuser_kwargs_build_the_fuser(self):
-        server = FusionServer(decay=0.99, refit_every=1000)
-        assert server.fuser.decay == 0.99
+        decay = DecayConfig(half_life=50.0)
+        server = FusionServer(trust_decay=decay, refit_every=1000)
+        assert server.fuser.trust_decay == decay
         assert server.fuser.refit_every == 1000
+
+    @pytest.mark.parametrize(
+        "priors",
+        [
+            {"prior_correct": float("nan")},
+            {"prior_total": float("nan")},
+            {"prior_total": float("inf")},
+            {"prior_correct": float("-inf")},
+        ],
+        ids=["nan-correct", "nan-total", "inf-total", "neg-inf-correct"],
+    )
+    def test_rejects_non_finite_priors(self, priors):
+        # A NaN prior used to be accepted here and only crash at publish().
+        with pytest.raises(ValueError, match="finite"):
+            FusionServer(**priors)
 
 
 class TestRetirement:
@@ -323,8 +337,6 @@ class TestDriftingStream:
         return drift_scenario(n_sources=8, objects_per_step=6, n_steps=10, seed=6)
 
     def test_version_monotonicity_and_snapshot_parity_mid_drift(self):
-        from repro.extensions import DecayConfig
-
         scn = self._scenario()
         fuser = StreamingFuser(
             self_training=False, trust_decay=DecayConfig(half_life=30.0)
@@ -357,8 +369,6 @@ class TestDriftingStream:
         assert server.version == versions[-1]
 
     def test_decayed_server_tracks_drift_better_than_flat(self):
-        from repro.extensions import DecayConfig
-
         scn = self._scenario()
         flat = FusionServer(StreamingFuser(self_training=False))
         decayed = FusionServer(

@@ -1,13 +1,16 @@
-"""Machine-checked equivalence of the vectorized engine vs the reference loops.
+"""Machine-checked equivalence of the array engine vs the loop oracles.
 
-The dense-encoding engine (``backend="vectorized"``) must reproduce the
-original loop implementations (``backend="reference"``) exactly: same index
-structures, same posteriors, same learned models.  These property-style
-tests sweep seeded random datasets — binary and multi-valued domains,
-featureful and featureless sources, empty/partial/full supervision — and
-assert numerical agreement at ``atol=1e-8`` (structures, posterior
-packaging and the array-backed ``FusionResult`` views must match exactly;
-end-to-end fitted models are allowed solver-path noise well below 1e-6).
+The dense-encoding library code must reproduce the loop implementations
+kept in ``tests/oracles`` exactly: same index structures, same posteriors,
+same learned models.  Learner- and facade-level fits reach the oracles
+through :func:`oracles.reference_engine`, which routes the library's
+structure, E-step and training-pair functions through them.  These
+property-style tests sweep seeded random datasets — binary and
+multi-valued domains, featureful and featureless sources,
+empty/partial/full supervision — and assert numerical agreement at
+``atol=1e-8`` (structures, posterior packaging and the array-backed
+``FusionResult`` views must match exactly; end-to-end fitted models are
+allowed solver-path noise well below 1e-6).
 
 Solver equivalence (``solver="lbfgs-warm"`` vs the scipy reference) is
 asserted at ``atol=1e-8`` in *objective-value* space: both converge the
@@ -21,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import SLiMFast
+from repro.core import SLiMFast, em
 from repro.core.em import EMLearner
 from repro.core.erm import ERMLearner, correctness_training_pairs
 from repro.core.inference import (
@@ -32,14 +35,16 @@ from repro.core.inference import (
     posterior_rows,
     posteriors,
 )
-from repro.core.structure import build_pair_structure
+from repro.core.structure import build_masked_structure, build_pair_structure
 from repro.data import SyntheticConfig, generate
 from repro.factorgraph import GibbsSampler, compile_dataset, compile_unary_score_tables
-from repro.fusion.encoding import DenseEncoding, check_backend, encode_dataset, expand_spans
+from repro.fusion.encoding import DenseEncoding, encode_dataset, expand_spans
 from repro.fusion.result import FusionResult
 from repro.optim.numerics import sigmoid, softmax
 from repro.optim.objectives import CorrectnessObjective, reduce_correctness_samples
 from repro.optim.solvers import minimize_lbfgs, minimize_newton
+
+import oracles
 
 ATOL = 1e-8
 
@@ -123,10 +128,6 @@ class TestEncoding:
         np.testing.assert_array_equal(expand_spans(starts, lengths), [5, 6, 9, 10, 11])
         assert expand_spans(np.zeros(0), np.zeros(0)).size == 0
 
-    def test_check_backend_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            check_backend("numba")
-
 
 class TestStructureEquivalence:
     @pytest.mark.parametrize("subset", [False, True])
@@ -134,8 +135,8 @@ class TestStructureEquivalence:
         objects = None
         if subset:
             objects = list(dataset.objects)[::3]
-        vec = build_pair_structure(dataset, objects, backend="vectorized")
-        ref = build_pair_structure(dataset, objects, backend="reference")
+        vec = build_pair_structure(dataset, objects)
+        ref = oracles.build_pair_structure(dataset, objects)
         assert vec.object_ids == ref.object_ids
         assert vec.pair_values == ref.pair_values
         np.testing.assert_array_equal(vec.object_dataset_idx, ref.object_dataset_idx)
@@ -148,8 +149,8 @@ class TestStructureEquivalence:
     @pytest.mark.parametrize("fraction", [0.0, 0.3, 1.0])
     def test_label_rows_identical(self, dataset, fraction):
         truth = _truth_fraction(dataset, fraction)
-        vec = build_pair_structure(dataset, backend="vectorized")
-        ref = build_pair_structure(dataset, backend="reference")
+        vec = build_pair_structure(dataset)
+        ref = oracles.build_pair_structure(dataset)
         np.testing.assert_array_equal(vec.label_rows(truth), ref.label_rows(truth))
         np.testing.assert_array_equal(
             encode_dataset(dataset).label_rows(truth), ref.label_rows(truth)
@@ -162,8 +163,8 @@ class TestPosteriorEquivalence:
         truth = _truth_fraction(dataset, 0.2, seed=1)
         model = ERMLearner().fit(dataset, truth)
         clamp = _truth_fraction(dataset, clamp_fraction, seed=2)
-        vec = posteriors(dataset, model, clamp=clamp, backend="vectorized")
-        ref = posteriors(dataset, model, clamp=clamp, backend="reference")
+        vec = posteriors(dataset, model, clamp=clamp)
+        ref = oracles.posteriors(dataset, model, clamp=clamp)
         assert vec.keys() == ref.keys()
         for obj in ref:
             assert vec[obj].keys() == ref[obj].keys()
@@ -183,16 +184,12 @@ class TestPosteriorEquivalence:
     def test_expected_correctness_matches(self, dataset, fraction):
         truth = _truth_fraction(dataset, 0.3, seed=3)
         model = ERMLearner().fit(dataset, truth)
-        structure_vec = build_pair_structure(dataset, backend="vectorized")
-        structure_ref = build_pair_structure(dataset, backend="reference")
+        structure_vec = build_pair_structure(dataset)
+        structure_ref = oracles.build_pair_structure(dataset)
         label_rows = structure_ref.label_rows(_truth_fraction(dataset, fraction, seed=4))
         trust = model.trust_scores()
-        q_vec, rows_vec = expected_correctness(
-            structure_vec, trust, label_rows, backend="vectorized"
-        )
-        q_ref, rows_ref = expected_correctness(
-            structure_ref, trust, label_rows, backend="reference"
-        )
+        q_vec, rows_vec = expected_correctness(structure_vec, trust, label_rows)
+        q_ref, rows_ref = oracles.expected_correctness(structure_ref, trust, label_rows)
         np.testing.assert_allclose(q_vec, q_ref, atol=ATOL)
         np.testing.assert_allclose(rows_vec, rows_ref, atol=ATOL)
 
@@ -201,9 +198,36 @@ class TestLearnerEquivalence:
     def test_training_pairs_identical(self, dataset):
         truth = _truth_fraction(dataset, 0.5, seed=5)
         src_vec, lab_vec = correctness_training_pairs(dataset, truth)
-        src_ref, lab_ref = correctness_training_pairs(dataset, truth, backend="reference")
+        src_ref, lab_ref = oracles.correctness_training_pairs(dataset, truth)
         np.testing.assert_array_equal(src_vec, src_ref)
         np.testing.assert_array_equal(lab_vec, lab_ref)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_warm_start_sources_identical(self, dataset, fraction, masked):
+        truth = _truth_fraction(dataset, fraction, seed=5)
+        if masked:
+            exclude = dataset.sources.items[:3]
+            vec = build_masked_structure(dataset, exclude)
+            ref = oracles.build_masked_structure(dataset, exclude)
+        else:
+            vec = build_pair_structure(dataset)
+            ref = oracles.build_pair_structure(dataset)
+        np.testing.assert_array_equal(
+            em._labeled_sources(vec, truth), oracles.labeled_sources(ref, truth)
+        )
+
+    def test_reference_engine_routes_and_restores(self, dataset):
+        original = em.build_pair_structure
+        with pytest.raises(RuntimeError, match="inside"):
+            with oracles.reference_engine():
+                assert em.build_pair_structure is oracles.build_pair_structure
+                assert em.expected_correctness is oracles.expected_correctness
+                # The walking oracle never attaches the dataset encoding.
+                assert em.build_pair_structure(dataset).encoding is None
+                raise RuntimeError("inside")
+        assert em.build_pair_structure is original
+        assert build_pair_structure(dataset).encoding is not None
 
     def test_reduced_objective_matches_full(self, dataset):
         truth = _truth_fraction(dataset, 0.5, seed=5)
@@ -235,25 +259,28 @@ class TestLearnerEquivalence:
     @pytest.mark.parametrize("objective", ["correctness", "conditional"])
     def test_erm_fits_match(self, dataset, objective):
         truth = _truth_fraction(dataset, 0.4, seed=6)
-        vec = ERMLearner(objective=objective, backend="vectorized").fit(dataset, truth)
-        ref = ERMLearner(objective=objective, backend="reference").fit(dataset, truth)
+        vec = ERMLearner(objective=objective).fit(dataset, truth)
+        with oracles.reference_engine():
+            ref = ERMLearner(objective=objective).fit(dataset, truth)
         np.testing.assert_allclose(vec.accuracies(), ref.accuracies(), atol=1e-6)
         np.testing.assert_allclose(vec.w_features, ref.w_features, atol=1e-5)
 
     def test_erm_sgd_path_is_bitwise_identical(self, dataset):
-        # SGD consumes per-observation samples; the vectorized backend must
-        # feed it the exact same sample stream as the reference.
+        # SGD consumes per-observation samples; the library must feed it the
+        # exact same sample stream as the observation-walking oracle.
         truth = _truth_fraction(dataset, 0.4, seed=6)
-        vec = ERMLearner(solver="sgd", backend="vectorized").fit(dataset, truth)
-        ref = ERMLearner(solver="sgd", backend="reference").fit(dataset, truth)
+        vec = ERMLearner(solver="sgd").fit(dataset, truth)
+        with oracles.reference_engine():
+            ref = ERMLearner(solver="sgd").fit(dataset, truth)
         np.testing.assert_array_equal(vec.w_sources, ref.w_sources)
         np.testing.assert_array_equal(vec.w_features, ref.w_features)
 
     @pytest.mark.parametrize("fraction", [0.0, 0.2])
     def test_em_fits_match(self, dataset, fraction):
         truth = _truth_fraction(dataset, fraction, seed=7)
-        vec = EMLearner(max_iterations=8, backend="vectorized").fit(dataset, truth)
-        ref = EMLearner(max_iterations=8, backend="reference").fit(dataset, truth)
+        vec = EMLearner(max_iterations=8).fit(dataset, truth)
+        with oracles.reference_engine():
+            ref = EMLearner(max_iterations=8).fit(dataset, truth)
         np.testing.assert_allclose(vec.accuracies(), ref.accuracies(), atol=1e-6)
 
 
@@ -314,8 +341,8 @@ class TestFacadeEquivalence:
         from repro.core import SLiMFast
 
         truth = _truth_fraction(dataset, 0.3, seed=10)
-        vec = SLiMFast(learner=learner, backend="vectorized").fit_predict(dataset, truth)
-        ref = SLiMFast(learner=learner, backend="reference").fit_predict(dataset, truth)
+        vec = SLiMFast(learner=learner).fit_predict(dataset, truth)
+        ref = oracles.fit_predict(SLiMFast(learner=learner), dataset, truth)
         assert vec.values == ref.values
         for obj, dist in ref.posteriors.items():
             for value, prob in dist.items():
@@ -325,7 +352,7 @@ class TestFacadeEquivalence:
 
 
 class TestFusionResultViews:
-    """Array-backed FusionResult views vs the reference dict packaging."""
+    """Array-backed FusionResult views vs the oracle's dict packaging."""
 
     @pytest.mark.parametrize("clamp_fraction", [0.0, 0.25])
     def test_views_match_reference_packaging(self, dataset, clamp_fraction):
@@ -342,7 +369,7 @@ class TestFusionResultViews:
             source_ids=model.source_ids,
         )
         assert result.has_arrays
-        reference = posteriors(dataset, model, clamp=clamp, backend="reference")
+        reference = oracles.posteriors(dataset, model, clamp=clamp)
         assert result.values == map_assignment(reference)
         assert result.posteriors.keys() == reference.keys()
         for obj, dist in reference.items():
@@ -414,7 +441,7 @@ class TestFusionResultViews:
         assert result.values[target] == "never-claimed-value"
         assert result.posteriors[target]["never-claimed-value"] == 1.0
         assert sum(result.posteriors[target].values()) == pytest.approx(1.0)
-        reference = posteriors(dataset, model, clamp=clamp, backend="reference")
+        reference = oracles.posteriors(dataset, model, clamp=clamp)
         assert result.posteriors[target] == pytest.approx(reference[target])
 
     def test_accuracy_array_path_matches_dict_path(self, dataset):
@@ -493,12 +520,13 @@ class TestWarmSolverEquivalence:
     @pytest.mark.parametrize("fraction", [0.0, 0.2])
     def test_em_warm_matches_reference_path(self, dataset, fraction):
         truth = _truth_fraction(dataset, fraction, seed=7)
-        reference = EMLearner(
-            max_iterations=8, solver="lbfgs", backend="reference", m_step_tolerance=1e-13
-        ).fit(dataset, truth)
-        warm = EMLearner(
-            max_iterations=8, solver="lbfgs-warm", backend="vectorized", m_step_tolerance=1e-13
-        ).fit(dataset, truth)
+        with oracles.reference_engine():
+            reference = EMLearner(
+                max_iterations=8, solver="lbfgs", m_step_tolerance=1e-13
+            ).fit(dataset, truth)
+        warm = EMLearner(max_iterations=8, solver="lbfgs-warm", m_step_tolerance=1e-13).fit(
+            dataset, truth
+        )
         # Bounded by scipy's double-precision stopping plateau (see module
         # docstring), not by the warm solver, which solves tighter.
         np.testing.assert_allclose(warm.accuracies(), reference.accuracies(), atol=5e-5)

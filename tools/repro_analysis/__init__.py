@@ -14,8 +14,10 @@ runtime differential suites otherwise catch only as flaky failures:
   listed attribute may only be touched inside ``with self.<lock>:`` (or
   in ``__init__``/``__new__``, or in a function annotated
   ``# repro-analysis: holds[<lock>]``).
-* **RA3 — backend parity.**  Backend dispatch sites must handle both
-  ``"vectorized"`` and ``"reference"`` (an untaken branch must fall
+* **RA3 — parity.**  Every public function or class in the test-oracle
+  package ``tests/oracles/`` must be used by some ``tests/**/test_*.py``.
+  Backend dispatch sites (the Gibbs sampler's) must handle both
+  ``"vectorized"`` and ``"reference"`` (an untaken branch that falls
   through to nothing is the bug class), and every dispatching module
   needs a parity test under ``tests/`` that exercises both literals.
 * **RA4 — cache-version honesty.**  The source of every

@@ -24,7 +24,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tools.repro_analysis",
         description="Repo-aware static analysis: determinism (RA1), lock "
-        "discipline (RA2), backend parity (RA3), cache-version honesty (RA4).",
+        "discipline (RA2), backend + oracle parity (RA3), cache-version honesty (RA4).",
     )
     parser.add_argument(
         "--root",

@@ -1,15 +1,24 @@
-"""RA3 — backend parity: every dispatch handles both backends, with a test.
+"""RA3 — parity: complete backend dispatch, and every oracle has a test.
 
-The reproduction ships paired implementations — a paper-faithful
-``"reference"`` path and a ``"vectorized"`` production path — selected
-by ``backend=`` at runtime.  The bug class this rule targets is the
-half-dispatch: an ``if backend == "vectorized":`` whose other arm
-silently falls through, so ``backend="reference"`` *runs the vectorized
-code* (or nothing) and the differential suites stop comparing anything.
+The library runs one production path; the loop implementations it
+replaced live on as test oracles in ``tests/oracles/``, and parity tests
+hold the library to them.  The one runtime switch left is the Gibbs
+sampler's ``backend=`` (its per-factor sweep is the only sampler for
+non-unary graphs).  The rule has two parts.
+
+**Oracle coverage.**  Every public top-level function or class defined in
+``tests/oracles/*.py`` must be used by at least one ``tests/**/test_*.py``
+— reached as ``oracles.<name>`` or imported by name from the package.  An
+oracle no test compares against checks nothing and drifts silently.
+
+**Backend dispatch.**  The bug class is the half-dispatch: an
+``if backend == "vectorized":`` whose other arm silently falls through,
+so ``backend="reference"`` *runs the vectorized code* (or nothing) and
+the differential suites stop comparing anything.
 
 A comparison is *backend-ish* when one side names a backend (a name or
-attribute ending in ``backend``, or a call to such a function, e.g.
-``check_backend(backend)``) and the other side is one of the literals
+attribute ending in ``backend``, or a call to such a function) and the
+other side is one of the literals
 ``"vectorized"`` / ``"reference"`` / ``"auto"``.
 
 Checked per ``if``/``elif`` chain whose tests contain a backend-ish
@@ -40,6 +49,9 @@ from typing import List, Optional, Set, Tuple
 from .core import Finding, Project, SourceFile, rule
 
 RULE_ID = "RA3"
+
+#: Where the test oracles live, relative to the repo root.
+ORACLE_DIR = "tests/oracles/"
 
 #: The backend vocabulary; "auto" resolves to one of the other two.
 BACKEND_LITERALS = {"vectorized", "reference", "auto"}
@@ -197,9 +209,63 @@ def _parity_candidates(project: Project) -> List[Tuple[str, str]]:
     return candidates
 
 
-@rule(RULE_ID, "backend parity: complete dispatch + a vectorized-vs-reference test")
+def _parse(text: str) -> Optional[ast.Module]:
+    try:
+        return ast.parse(text)
+    except SyntaxError:
+        return None
+
+
+def _oracle_definitions(project: Project) -> List[Tuple[str, int, str]]:
+    """(path, line, name) of each public top-level def/class under tests/oracles/."""
+    definitions = []
+    for rel, text in project.test_files.items():
+        if not rel.startswith(ORACLE_DIR) or rel.endswith("/__init__.py"):
+            continue
+        tree = _parse(text)
+        for node in tree.body if tree is not None else []:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    definitions.append((rel, node.lineno, node.name))
+    return definitions
+
+
+def _oracle_uses(project: Project) -> Set[str]:
+    """Names the test modules reach through the ``oracles`` package."""
+    used: Set[str] = set()
+    for rel, text in project.test_files.items():
+        name = PurePosixPath(rel).name
+        if rel.startswith(ORACLE_DIR) or not name.startswith("test_"):
+            continue
+        tree = _parse(text)
+        for node in ast.walk(tree) if tree is not None else []:
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "oracles"
+            ):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                if (node.module or "").split(".")[0] == "oracles":
+                    used.update(alias.name for alias in node.names)
+    return used
+
+
+@rule(RULE_ID, "parity: complete backend dispatch + a test for every oracle")
 def check(project: Project) -> List[Finding]:
     findings: List[Finding] = []
+    used = _oracle_uses(project)
+    for rel, line, name in _oracle_definitions(project):
+        if name not in used:
+            findings.append(
+                Finding(
+                    RULE_ID,
+                    rel,
+                    line,
+                    f"oracle {name!r} is not used by any tests/**/test_*.py: add a "
+                    f"parity test that compares the library against it, or delete it",
+                )
+            )
     candidates = _parity_candidates(project)
     for source in project.src_files:
         file_findings, dispatches = _check_file(source)

@@ -125,8 +125,8 @@ class Project:
 
     ``src_files`` covers ``src/repro`` (the package under contract),
     ``example_files`` the runnable ``examples/``; ``test_files`` are
-    read as text only (RA3 greps them for parity coverage but does not
-    lint them).
+    read as text only (RA3 checks them for parity and oracle coverage but
+    does not lint them).
     """
 
     def __init__(self, root: Path) -> None:
