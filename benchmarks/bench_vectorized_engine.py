@@ -92,24 +92,37 @@ def _peak_rss_kb():
     return int(peak)
 
 
-def _median_time(fn, repeats: int, min_sample_seconds: float = 0.05) -> float:
-    """Median per-call runtime, timeit-style.
+def _median_times(fns, repeats: int, min_sample_seconds: float = 0.05) -> list:
+    """Median per-call runtime of each of ``fns``, timeit-style.
 
     Sub-millisecond calls are batched until each timed sample lasts at
     least ``min_sample_seconds``, keeping speedup ratios out of the timer
     noise floor (the regression gate compares ratios across CI runs).
+    Samples are interleaved — one of each function per round — so a
+    burst of load on a shared machine lands on every arm of a ratio
+    instead of on whichever arm happened to be timing.
     """
-    started = time.perf_counter()
-    fn()
-    first = time.perf_counter() - started
-    calls = max(1, int(min_sample_seconds / max(first, 1e-9)))
-    times = [first] if first >= min_sample_seconds else []
-    while len(times) < repeats:
+    calls, times = [], []
+    for fn in fns:
         started = time.perf_counter()
-        for _ in range(calls):
-            fn()
-        times.append((time.perf_counter() - started) / calls)
-    return float(statistics.median(times))
+        fn()
+        first = time.perf_counter() - started
+        calls.append(max(1, int(min_sample_seconds / max(first, 1e-9))))
+        times.append([first] if first >= min_sample_seconds else [])
+    while any(len(samples) < repeats for samples in times):
+        for fn, n_calls, samples in zip(fns, calls, times):
+            if len(samples) >= repeats:
+                continue
+            started = time.perf_counter()
+            for _ in range(n_calls):
+                fn()
+            samples.append((time.perf_counter() - started) / n_calls)
+    return [float(statistics.median(samples)) for samples in times]
+
+
+def _median_time(fn, repeats: int, min_sample_seconds: float = 0.05) -> float:
+    """Median per-call runtime of one function (see :func:`_median_times`)."""
+    return _median_times([fn], repeats, min_sample_seconds)[0]
 
 
 def _generate(n_sources: int, n_objects: int, n_observations: int, seed: int = 0):
@@ -176,8 +189,7 @@ def run_benchmarks(smoke: bool, n_observations: int, repeats: int, sweep_jobs: i
     cases = []
 
     def case(name: str, reference, vectorized, case_repeats=None) -> None:
-        ref_s = _median_time(reference, case_repeats or repeats)
-        vec_s = _median_time(vectorized, case_repeats or repeats)
+        ref_s, vec_s = _median_times([reference, vectorized], case_repeats or repeats)
         cases.append(
             {
                 "name": name,
@@ -306,14 +318,14 @@ def run_benchmarks(smoke: bool, n_observations: int, repeats: int, sweep_jobs: i
 
     # Streaming ingest: incremental encoding + batch scatters versus the
     # oracle's dict-per-observation replay of the same stream (same random
-    # order, same truth reveal).
+    # order, same truth reveal).  Its arms take tens of milliseconds, so it
+    # keeps the full repeat count.
     from repro.extensions.streaming import replay_dataset
 
     case(
         "stream_append",
         lambda: oracles.replay_dataset(dataset, truth, seed=0),
         lambda: replay_dataset(dataset, truth, seed=0, batch_size=256),
-        case_repeats=min(repeats, 3),
     )
 
     if not smoke:

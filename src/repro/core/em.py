@@ -112,10 +112,11 @@ class EMConfig:
     shard_jobs:
         Process fan-out for the shard E-steps *within one fit* (requires
         ``n_shards``): values above 1 evaluate shards on a
-        :class:`repro.experiments.parallel.ShardStatPool` built once per
-        fit; ``None``/1 keeps the serial in-process loop.  The reduction
-        order is fixed (ascending shard index), so the fit is identical
-        either way.
+        :class:`repro.experiments.parallel.WorkerPool` built once per fit
+        (:func:`repro.fusion.sharding.shard_worker_pool`), so each round
+        ships only the trust vector; ``None``/1 keeps the in-process
+        loop.  The reduction order is fixed (ascending shard index), so
+        the fit is identical either way.
     featurizer:
         Optional :class:`repro.featurize.FeaturizerPipeline` (anything
         with a ``design_for(dataset_or_encoding)`` method).  When set,
@@ -255,23 +256,19 @@ class EMLearner:
         shards = None
         shard_blocked = None
         shard_pool = None
-        shard_reduce = None
         if self.config.n_shards is not None:
             from ..fusion.sharding import (
                 shard_blocked_rows,
                 shard_structure,
+                shard_worker_pool,
                 sharded_correctness_stats,
             )
 
             shards = shard_structure(structure, int(self.config.n_shards))
             shard_blocked = shard_blocked_rows(shards, blocked_rows)
-            shard_reduce = sharded_correctness_stats
-            if self.config.shard_jobs is not None and int(self.config.shard_jobs) > 1:
-                from ..experiments.parallel import ShardStatPool
-
-                shard_pool = ShardStatPool(
-                    shards, shard_blocked, dataset.n_sources, int(self.config.shard_jobs)
-                )
+            shard_pool = shard_worker_pool(
+                shards, shard_blocked, dataset.n_sources, self.config.shard_jobs or 1
+            )
 
         deltas: List[float] = []
         converged = False
@@ -319,13 +316,13 @@ class EMLearner:
                 # globally: each shard reduces its own observations to
                 # per-source (totals, mass) partials.
                 if shards is not None:
-                    trust = model.trust_scores()
-                    if shard_pool is not None:
-                        totals, mass = shard_pool.stats(trust)
-                    else:
-                        totals, mass = shard_reduce(
-                            shards, trust, dataset.n_sources, shard_blocked
-                        )
+                    totals, mass = sharded_correctness_stats(
+                        shards,
+                        model.trust_scores(),
+                        dataset.n_sources,
+                        shard_blocked,
+                        pool=shard_pool,
+                    )
                     active = np.flatnonzero(totals > 0)
                     source_idx = active
                     labels = np.clip(mass[active] / totals[active], 0.0, 1.0)
@@ -420,7 +417,7 @@ class EMLearner:
                     break
         finally:
             if shard_pool is not None:
-                shard_pool.shutdown()
+                shard_pool.close()
 
         self.trace_ = EMTrace(accuracy_deltas=deltas, n_iterations=len(deltas), converged=converged)
         self.m_step_result_ = result

@@ -1,30 +1,24 @@
-"""Cross-process plumbing for the parallel sweep engine.
+"""The one process fan-out helper, and the transport under it.
 
-:class:`~repro.experiments.sweeps.SweepRunner` keeps its one-compile-per-
-sweep economics across process boundaries by shipping the compiled state
-to each worker exactly once (through the pool initializer) and fanning the
-independent fits out over the pool.  This module holds the transport
-pieces, which are deliberately generic:
+Three callers fan work out over processes: the parallel sweep engine
+(:class:`~repro.experiments.sweeps.SweepRunner`), the sharded E-step of
+one EM fit (``EMConfig(shard_jobs=...)``, :mod:`repro.fusion.sharding`)
+and the chunked featurizer statistics
+(:func:`repro.featurize.stats.compute_source_stats`).  All of them go
+through :class:`WorkerPool`, which ships a read-only ``state`` to each
+worker once, runs ``fn(state, *args)`` tasks and returns results in
+submission order.  The pieces under it:
 
 * :func:`resolve_n_jobs` / :func:`chunk_indices` — deterministic worker
-  count and contiguous, balanced spec chunking.  Chunk membership depends
-  only on ``(n_specs, n_jobs)``, never on scheduling order, which is half
-  of the engine's determinism story (the other half is that warm-start
-  donors are chosen *within* a chunk only).
+  count and contiguous, balanced chunking.  Chunk membership depends
+  only on ``(n_items, n_chunks)``, never on scheduling order, which is
+  half of every caller's determinism story (the other half is the
+  ordered reduce: results come back in submission order).
 * :class:`SharedArrayPack` / :func:`attach_shared_arrays` — one
   ``multiprocessing.shared_memory`` block carrying many named arrays, for
-  start methods that would otherwise pickle the large index/design arrays
-  into every worker (``spawn``/``forkserver``; under ``fork`` the payload
-  is inherited copy-on-write and sharing buys nothing).
-* :class:`SharedArrayRef` — the picklable marker left in an exported state
-  dict where a shared array was extracted.
-* :class:`ShardStatPool` — a persistent worker pool computing per-shard
-  E-step sufficient statistics for a *single* sharded EM fit
-  (:mod:`repro.fusion.sharding`): shard arrays ship to each worker once
-  through the initializer (via shared memory when the start method would
-  pickle them), and every round only the trust vector crosses the
-  process boundary.  Partials reduce in ascending shard index, matching
-  the serial sharded path exactly.
+  start methods that would otherwise pickle the large arrays of the
+  state into every worker (``spawn``/``forkserver``; under ``fork`` the
+  state is inherited copy-on-write and sharing buys nothing).
 
 Workers receive read-only views: every attached array has its
 ``writeable`` flag cleared, so a worker that accidentally mutates shared
@@ -35,6 +29,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -94,7 +89,7 @@ def sharing_is_worthwhile() -> bool:
 
 
 @dataclass(frozen=True)
-class SharedArrayRef:
+class _SharedArrayRef:
     """Placeholder for an array extracted into a :class:`SharedArrayPack`."""
 
     key: str
@@ -161,143 +156,115 @@ def attach_shared_arrays(descriptor: dict):
     return arrays, segment
 
 
-def extract_shared(
-    state: Mapping[str, np.ndarray],
-    pool: Dict[str, np.ndarray],
-    prefix: str,
-    min_bytes: int = SHARED_ARRAY_MIN_BYTES,
-) -> Dict[str, object]:
-    """Move large arrays of ``state`` into ``pool``, leaving refs behind.
+def _walk(value, leaf):
+    """Rebuild nested dicts, lists and tuples with ``leaf`` applied below.
 
-    Non-array values and small arrays pass through unchanged; arrays of at
-    least ``min_bytes`` are added to ``pool`` under ``"{prefix}:{name}"``
-    and replaced by a :class:`SharedArrayRef`.  The caller packs ``pool``
-    into one :class:`SharedArrayPack` at the end.
+    Every value that is not one of those three containers (exact types:
+    other containers and objects count as leaves) is replaced by
+    ``leaf(value)``.
     """
-    out: Dict[str, object] = {}
-    for name, value in state.items():
-        if isinstance(value, np.ndarray) and value.nbytes >= min_bytes:
-            key = f"{prefix}:{name}"
-            pool[key] = value
-            out[name] = SharedArrayRef(key)
-        else:
-            out[name] = value
-    return out
+    if type(value) is dict:
+        return {key: _walk(item, leaf) for key, item in value.items()}
+    if type(value) in (list, tuple):
+        return type(value)(_walk(item, leaf) for item in value)
+    return leaf(value)
 
 
-def resolve_shared(state: Mapping[str, object], arrays: Mapping[str, np.ndarray]) -> Dict:
-    """Inverse of :func:`extract_shared`: swap refs back for attached views."""
-    return {
-        name: arrays[value.key] if isinstance(value, SharedArrayRef) else value
-        for name, value in state.items()
-    }
+#: This worker process's state, installed once by the pool initializer,
+#: and the shared-memory handle its views live in (kept referenced for
+#: the worker's lifetime).
+_WORKER_STATE = None
+_WORKER_SEGMENT = None
 
 
-# ----------------------------------------------------------------------
-# Shard E-step fan-out (single-fit parallelism)
-# ----------------------------------------------------------------------
-# Worker-process globals, installed once by the pool initializer.
-_SHARD_STATE: Optional[tuple] = None
-
-
-def _init_shard_worker(
-    shard_states: List[Dict[str, object]],
-    blocked_per_shard: List[np.ndarray],
-    n_sources: int,
-    descriptor: Optional[dict],
-) -> None:
-    """Pool initializer: rebuild this worker's shard table once."""
-    global _SHARD_STATE
-    from ..fusion.sharding import StructureShard
-
-    segment = None
+def _init_worker(state, descriptor: Optional[dict]) -> None:
+    global _WORKER_STATE, _WORKER_SEGMENT
     if descriptor is not None:
-        arrays, segment = attach_shared_arrays(descriptor)
-        shard_states = [resolve_shared(state, arrays) for state in shard_states]
-    shards = [StructureShard.from_state(state) for state in shard_states]
-    # The segment handle must stay referenced while the views are alive.
-    _SHARD_STATE = (shards, blocked_per_shard, n_sources, segment)
+        arrays, _WORKER_SEGMENT = attach_shared_arrays(descriptor)
+        state = _walk(
+            state,
+            lambda value: arrays[value.key] if isinstance(value, _SharedArrayRef) else value,
+        )
+    _WORKER_STATE = state
 
 
-def _shard_worker_stats(shard_idx: int, trust: np.ndarray):
-    """Compute one shard's (totals, mass) partial statistics."""
-    from ..fusion.sharding import shard_expected_stats
-
-    shards, blocked, n_sources, _ = _SHARD_STATE
-    return shard_expected_stats(shards[shard_idx], trust, n_sources, blocked[shard_idx])
+def _run_task(fn, args: tuple):
+    return fn(_WORKER_STATE, *args)
 
 
-class ShardStatPool:
-    """Process pool evaluating shard E-steps for one sharded EM fit.
+class WorkerPool:
+    """Run ``fn(state, *args)`` tasks over worker processes.
 
-    Built once per fit from the fit's
-    :class:`~repro.fusion.sharding.StructureShard` list: the shard arrays
-    ship to every worker exactly once through the pool initializer
-    (routed through one :class:`SharedArrayPack` segment when the start
-    method pickles initializer arguments), so each EM round only sends
-    the ``(n_sources,)`` trust vector and receives two ``(n_sources,)``
-    partial-statistic vectors per shard.  :meth:`stats` reduces partials
-    in ascending shard index — the same order as the in-process
-    :func:`repro.fusion.sharding.sharded_correctness_stats` — so process
-    fan-out never changes the fit.  Call :meth:`shutdown` (or use as a
-    context manager) to release the pool and any shared segment.
+    ``state`` reaches each worker once, through the pool initializer:
+    inherited under ``fork``, and under ``spawn``/``forkserver`` with
+    every array of at least :data:`SHARED_ARRAY_MIN_BYTES` (found by
+    walking nested dicts, lists and tuples) moved into one
+    :class:`SharedArrayPack` that workers see read-only.  Each
+    :meth:`map` call then only pickles its task arguments and results,
+    and returns results in submission order — callers reduce them in that
+    order, which keeps every parallel run equal to its serial one.
+
+    With ``n_workers <= 1`` no process starts and nothing is shipped:
+    tasks run in-process against ``state`` itself.  ``fn`` must be a
+    module-level function (it is pickled by reference).  Use as a context
+    manager, or call :meth:`close`; the shared segment is released on
+    close, and also when construction fails.
+
+    Example::
+
+        with WorkerPool({"x": np.arange(10.0)}, n_workers=2) as pool:
+            parts = pool.map(partial_sum, [(0, 5), (5, 10)])
     """
 
-    def __init__(
-        self,
-        shards: List,
-        blocked_per_shard: List[np.ndarray],
-        n_sources: int,
-        n_jobs: Optional[int] = None,
-    ) -> None:
-        from concurrent.futures import ProcessPoolExecutor
-
-        self._n_shards = len(shards)
-        self._n_sources = int(n_sources)
-        workers = min(resolve_n_jobs(n_jobs), max(self._n_shards, 1))
-        states = [shard.to_state() for shard in shards]
+    def __init__(self, state, n_workers: int) -> None:
+        self._state = state
+        self._executor: Optional[ProcessPoolExecutor] = None
         self._pack: Optional[SharedArrayPack] = None
-        descriptor = None
-        if sharing_is_worthwhile():
-            pool_arrays: Dict[str, np.ndarray] = {}
-            states = [
-                extract_shared(state, pool_arrays, f"shard{i}")
-                for i, state in enumerate(states)
-            ]
-            if pool_arrays:
-                self._pack = SharedArrayPack(pool_arrays)
-                descriptor = self._pack.descriptor
-        self._executor = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_shard_worker,
-            initargs=(states, list(blocked_per_shard), self._n_sources, descriptor),
-        )
+        if n_workers <= 1:
+            return
+        try:
+            shipped, descriptor = state, None
+            if sharing_is_worthwhile():
+                arrays: Dict[str, np.ndarray] = {}
 
-    def stats(self, trust: np.ndarray):
-        """Fan one round's shard E-steps out; return summed (totals, mass)."""
-        futures = [
-            self._executor.submit(_shard_worker_stats, i, trust)
-            for i in range(self._n_shards)
-        ]
-        totals = np.zeros(self._n_sources)
-        mass = np.zeros(self._n_sources)
-        for future in futures:  # ascending shard index, not completion order
-            shard_totals, shard_mass = future.result()
-            totals += shard_totals
-            mass += shard_mass
-        return totals, mass
+                def share(value):
+                    if not isinstance(value, np.ndarray) or value.nbytes < SHARED_ARRAY_MIN_BYTES:
+                        return value
+                    key = str(len(arrays))
+                    arrays[key] = value
+                    return _SharedArrayRef(key)
 
-    def shutdown(self) -> None:
-        """Release the pool and any shared-memory segment (idempotent)."""
+                shipped = _walk(state, share)
+                if arrays:
+                    self._pack = SharedArrayPack(arrays)
+                    descriptor = self._pack.descriptor
+            self._executor = ProcessPoolExecutor(
+                max_workers=n_workers,
+                initializer=_init_worker,
+                initargs=(shipped, descriptor),
+            )
+        except BaseException:
+            self.close()
+            raise
+
+    def map(self, fn, args_list) -> list:
+        """``[fn(state, *args) for args in args_list]``, fanned out."""
+        if self._executor is None:
+            return [fn(self._state, *args) for args in args_list]
+        futures = [self._executor.submit(_run_task, fn, tuple(args)) for args in args_list]
+        return [future.result() for future in futures]
+
+    def close(self) -> None:
+        """Shut the workers down and release the segment (idempotent)."""
         if self._executor is not None:
-            self._executor.shutdown()
+            self._executor.shutdown(cancel_futures=True)
             self._executor = None
         if self._pack is not None:
             self._pack.release()
             self._pack = None
 
-    def __enter__(self) -> "ShardStatPool":
+    def __enter__(self) -> "WorkerPool":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.shutdown()
+        self.close()

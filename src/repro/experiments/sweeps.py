@@ -37,25 +37,22 @@ same tolerances as the warm-solver contract.
 
 **Cross-process execution** (``n_jobs``): the fits of a sweep are
 independent once the shared artifacts exist, so ``SweepRunner(n_jobs=4)``
-fans :meth:`SweepRunner.run` out over a ``ProcessPoolExecutor`` while
-keeping the one-compile-per-sweep economics — the compiled
+fans :meth:`SweepRunner.run` out over worker processes while keeping
+the one-compile-per-sweep economics — the compiled
 :class:`~repro.fusion.encoding.DenseEncoding` arrays, every cached
-(masked) structure and every label/clamp plan are shipped to each worker
-**once** through the pool initializer (via a picklable encoding export;
-large arrays ride ``multiprocessing.shared_memory`` when the start method
-would otherwise pickle them per worker).  Specs are split into
+(masked) structure, label/clamp plan and design matrix (featurized ones
+included) are shipped to each worker **once** as the state of a
+:class:`~repro.experiments.parallel.WorkerPool`.  Specs are split into
 contiguous, deterministic chunks — one worker task each — and warm-start
 donors are chosen *within* a chunk only, never across a scheduling-
 dependent process boundary, so parallel results equal the serial batched
 run at the same contract tolerances (and are themselves independent of
-worker scheduling).  See :mod:`repro.experiments.parallel` for the
-transport layer.
+worker scheduling).
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -72,17 +69,7 @@ from ..fusion.encoding import DenseEncoding, encode_dataset
 from ..fusion.result import FusionResult
 from ..fusion.types import DatasetError, ObjectId, SourceId, Value
 from ..optim.solvers import WarmStartState
-from . import parallel as _parallel
-from .parallel import (
-    SharedArrayPack,
-    SharedArrayRef,
-    attach_shared_arrays,
-    chunk_indices,
-    extract_shared,
-    resolve_n_jobs,
-    resolve_shared,
-    sharing_is_worthwhile,
-)
+from .parallel import WorkerPool, chunk_indices, resolve_n_jobs
 
 SWEEP_MODES = ("batched", "isolated")
 
@@ -202,12 +189,6 @@ class SweepRunner:
         specs are chunked contiguously and warm-start donors never cross
         a chunk boundary — though ``warm_started`` donor *names* reflect
         the per-chunk schedule.  :meth:`run_one` always runs in-process.
-    shared_memory:
-        How the large encoding/structure arrays reach the workers:
-        ``"auto"`` (default) uses ``multiprocessing.shared_memory`` when
-        the start method pickles worker state (``spawn``/``forkserver``)
-        and plain inheritance under ``fork``; ``True``/``False`` force
-        either transport.
 
     Example::
 
@@ -225,7 +206,6 @@ class SweepRunner:
         mode: str = "batched",
         warm_start: bool = True,
         n_jobs: Optional[int] = 1,
-        shared_memory: object = "auto",
     ) -> None:
         if mode not in SWEEP_MODES:
             raise ValueError(f"unknown mode {mode!r}; expected one of {SWEEP_MODES}")
@@ -235,9 +215,6 @@ class SweepRunner:
                 'parallel sweeps (n_jobs > 1) require mode="batched"; the '
                 "isolated path re-derives per-fit state and has nothing to ship"
             )
-        if shared_memory not in ("auto", True, False):
-            raise ValueError('shared_memory must be "auto", True or False')
-        self.shared_memory = shared_memory
         self.dataset = dataset
         self.mode = mode
         self.warm_start = warm_start and mode == "batched"
@@ -302,7 +279,7 @@ class SweepRunner:
             return encode_dataset(self.dataset).design(spec.use_features)
         if not spec.use_features:
             raise ValueError(f"spec {spec.name!r}: featurizer requires use_features=True")
-        key = getattr(spec.featurizer, "version_key", repr(spec.featurizer))
+        key = self._featurizer_key(spec)
         hit = self._featurized_designs.get(key)
         if hit is None:
             hit = spec.featurizer.design_for(self.dataset)
@@ -576,167 +553,74 @@ class SweepRunner:
         """Fan the specs out over worker processes, one compile for all.
 
         The parent derives every shared artifact the sweep needs
-        (structures, label/clamp plans, design matrices, the cached
-        optimizer accuracy estimate) exactly as the serial path would,
-        exports it once, and hands each worker a contiguous chunk of
-        specs.  Results come back in spec order regardless of completion
-        order.
+        (structures, label/clamp plans, design matrices — featurized ones
+        too — and the cached optimizer accuracy estimate) exactly as the
+        serial path would, ships it once as the pool state, and hands each
+        worker a contiguous chunk of specs.  Results come back in spec
+        order regardless of completion order.
         """
         for spec in specs:
             if spec.learner not in ("em", "erm", "auto"):
                 raise ValueError(f"unknown learner {spec.learner!r}")
             structure = self._structure_for(tuple(spec.exclude_sources))
             self._label_plan_for(structure, spec)
-            self._encoding.design(spec.use_features)
+            self._design_for_spec(spec, cached=True)
         if any(spec.learner == "auto" for spec in specs):
             self._average_accuracy()
 
-        payload, pack = self._export_payload()
         chunks = chunk_indices(len(specs), min(self.n_jobs, len(specs)))
-        results: List[Optional[SweepFitResult]] = [None] * len(specs)
-        try:
-            with ProcessPoolExecutor(
-                max_workers=len(chunks),
-                initializer=_init_sweep_worker,
-                initargs=(payload,),
-            ) as executor:
-                futures = [
-                    (chunk, executor.submit(_run_sweep_chunk, [specs[i] for i in chunk]))
-                    for chunk in chunks
-                ]
-                for chunk, future in futures:
-                    for i, fit in zip(chunk, future.result()):
-                        results[i] = fit
-        finally:
-            if pack is not None:
-                pack.release()
-        return results
+        with WorkerPool(self._worker_state(), len(chunks)) as pool:
+            parts = pool.map(_run_sweep_chunk, [([specs[i] for i in chunk],) for chunk in chunks])
+        return [fit for part in parts for fit in part]
 
-    def _export_payload(self) -> Tuple["_SweepPayload", Optional[SharedArrayPack]]:
-        """Bundle the shared compile for one-shot transfer to workers."""
-        share = self.shared_memory
-        if share == "auto":
-            share = sharing_is_worthwhile()
-        min_bytes = _parallel.SHARED_ARRAY_MIN_BYTES
-        pool: Dict[str, np.ndarray] = {}
-        state = self._encoding.export_state()
+    def _worker_state(self) -> Dict[str, object]:
+        """The shared compile as plain containers, for one-shot transfer.
 
-        arrays = state["arrays"]
-        if share:
-            arrays = extract_shared(arrays, pool, "enc", min_bytes)
-        design_cache: Dict[bool, Tuple[object, object]] = {}
-        for key, (rows, space) in state["design_cache"].items():
-            entry: object = rows
-            if share and rows.nbytes >= min_bytes:
-                pool[f"design:{key}"] = rows
-                entry = SharedArrayRef(f"design:{key}")
-            design_cache[key] = (entry, space)
-        structures: Dict[Tuple[int, ...], Dict[str, object]] = {}
-        for key, structure in self._structures.items():
-            if not key:
-                continue  # workers re-wrap the full structure from the encoding
-            masked_state = {
-                f.name: getattr(structure, f.name)
-                for f in fields(PairStructure)
-                if f.name != "encoding"
-            }
-            if share:
-                masked_state = extract_shared(masked_state, pool, f"mask:{key}", min_bytes)
-            structures[key] = masked_state
-
-        payload = _SweepPayload(
-            dataset=self.dataset,  # pickles without its cached encoding
-            warm_start=self.warm_start,
-            encoding_arrays=arrays,
-            encoding_pair_values=state["pair_values"],
-            design_cache=design_cache,
-            structures=structures,
-            label_plans=dict(self._label_plans),
-            avg_accuracy=self._avg_accuracy,
-        )
-        pack: Optional[SharedArrayPack] = None
-        if pool:
-            pack = SharedArrayPack(pool)
-            payload.shared = pack.descriptor
-        return payload, pack
+        The full structure is left out: workers re-wrap it from the
+        encoding.  The dataset pickles without its cached encoding.
+        """
+        return {
+            "dataset": self.dataset,
+            "warm_start": self.warm_start,
+            "encoding": self._encoding.export_state(),
+            "structures": {
+                key: {
+                    f.name: getattr(structure, f.name)
+                    for f in fields(PairStructure)
+                    if f.name != "encoding"
+                }
+                for key, structure in self._structures.items()
+                if key
+            },
+            "label_plans": dict(self._label_plans),
+            "featurized_designs": dict(self._featurized_designs),
+            "avg_accuracy": self._avg_accuracy,
+        }
 
     @classmethod
-    def _from_payload(cls, payload: "_SweepPayload"):
-        """Worker-side rebuild: a batched runner with pre-seeded caches.
-
-        Returns ``(runner, segment)`` where ``segment`` is the attached
-        shared-memory handle (or ``None``) the worker must keep alive for
-        the runner's lifetime.
-        """
-        arrays: Dict[str, np.ndarray] = {}
-        segment = None
-        if payload.shared is not None:
-            arrays, segment = attach_shared_arrays(payload.shared)
-        dataset = payload.dataset
-        dataset._dense_encoding = DenseEncoding.from_state(
-            dataset,
-            {
-                "arrays": resolve_shared(payload.encoding_arrays, arrays),
-                "pair_values": payload.encoding_pair_values,
-                "design_cache": {
-                    key: (
-                        arrays[rows.key] if isinstance(rows, SharedArrayRef) else rows,
-                        space,
-                    )
-                    for key, (rows, space) in payload.design_cache.items()
-                },
-            },
-        )
-        runner = cls(dataset, mode="batched", warm_start=payload.warm_start)
-        for key, state in payload.structures.items():
-            runner._structures[key] = PairStructure(**resolve_shared(state, arrays))
+    def _from_worker_state(cls, state: Mapping[str, object]) -> "SweepRunner":
+        """Worker-side rebuild: a batched runner with pre-seeded caches."""
+        dataset = state["dataset"]
+        dataset._dense_encoding = DenseEncoding.from_state(dataset, state["encoding"])
+        runner = cls(dataset, mode="batched", warm_start=state["warm_start"])
+        for key, structure_state in state["structures"].items():
+            runner._structures[key] = PairStructure(**structure_state)
         runner._structures[()] = build_pair_structure(dataset)
-        runner._label_plans = dict(payload.label_plans)
-        runner._avg_accuracy = payload.avg_accuracy
-        return runner, segment
+        runner._label_plans = dict(state["label_plans"])
+        runner._featurized_designs = dict(state["featurized_designs"])
+        runner._avg_accuracy = state["avg_accuracy"]
+        return runner
 
 
-@dataclass
-class _SweepPayload:
-    """Everything a sweep worker needs, shipped once per worker.
+def _run_sweep_chunk(state: Mapping[str, object], specs: List[FitSpec]) -> List[SweepFitResult]:
+    """Run one contiguous chunk of specs in a worker, in order.
 
-    ``encoding_arrays`` / ``design_cache`` / ``structures`` may contain
-    :class:`~repro.experiments.parallel.SharedArrayRef` markers pointing
-    into the ``shared`` segment descriptor; everything else travels by
-    pickle (or copy-on-write inheritance under ``fork``).
+    Each chunk starts from a fresh runner with an empty warm registry:
+    donors are drawn only from the chunk's own completed fits, so results
+    depend on the deterministic chunking, never on which worker ran which
+    chunk or in what order.
     """
-
-    dataset: FusionDataset
-    warm_start: bool
-    encoding_arrays: Dict[str, object]
-    encoding_pair_values: List[Value]
-    design_cache: Dict[bool, Tuple[object, object]]
-    structures: Dict[Tuple[int, ...], Dict[str, object]]
-    label_plans: Dict[tuple, Tuple[np.ndarray, np.ndarray]]
-    avg_accuracy: Optional[float]
-    shared: Optional[dict] = None
-
-
-#: Per-worker runner (re)built once by the pool initializer, plus the
-#: shared-memory handle that must outlive it.
-_WORKER_RUNNER: Optional[SweepRunner] = None
-_WORKER_SEGMENT = None
-
-
-def _init_sweep_worker(payload: _SweepPayload) -> None:
-    global _WORKER_RUNNER, _WORKER_SEGMENT
-    _WORKER_RUNNER, _WORKER_SEGMENT = SweepRunner._from_payload(payload)
-
-
-def _run_sweep_chunk(specs: List[FitSpec]) -> List[SweepFitResult]:
-    """Run one contiguous chunk of specs in this worker, in order.
-
-    The warm registry is reset per chunk: donors are drawn only from the
-    chunk's own completed fits, so results depend on the deterministic
-    chunking, never on which worker ran which chunk or in what order.
-    """
-    runner = _WORKER_RUNNER
-    runner._warm_registry = []
+    runner = SweepRunner._from_worker_state(state)
     return [runner.run_one(spec) for spec in specs]
 
 

@@ -41,7 +41,7 @@ from .stats import (
 )
 
 #: Bump to invalidate every cached matrix after a pipeline-semantics change.
-FEATURIZER_VERSION = 1
+FEATURIZER_VERSION = 2
 
 _UNSET = object()
 

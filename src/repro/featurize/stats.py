@@ -32,7 +32,7 @@ O(batch + touched-object claims) streaming appends, for the
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -287,9 +287,10 @@ def compute_source_stats(
     ``n_jobs=1`` computes everything inline; ``n_jobs=None`` resolves to
     the CPU count via :func:`repro.experiments.parallel.resolve_n_jobs`.
     Results are bit-identical across any ``n_jobs`` (see module
-    docstring); the parallel path ships the flat arrays to workers once
-    (through shared memory when worthwhile) and reduces chunks in
-    ascending source order.
+    docstring): source-range chunks run as
+    :class:`~repro.experiments.parallel.WorkerPool` tasks, which ships the
+    flat arrays to each worker once (in-process when one worker) and
+    returns the chunks in ascending source order for the concat.
     """
     object_stats = compute_object_stats(arrays)
     if n_sources == 0:
@@ -297,96 +298,28 @@ def compute_source_stats(
 
     # Lazy import: repro.featurize must not import repro.experiments at
     # module scope (experiments -> harness -> core -> featurize cycle).
-    from ..experiments.parallel import chunk_indices, resolve_n_jobs
+    from ..experiments.parallel import WorkerPool, chunk_indices, resolve_n_jobs
 
-    jobs = resolve_n_jobs(n_jobs)
-    chunks = [c for c in chunk_indices(n_sources, max(jobs, 1)) if len(c)]
-    if jobs <= 1 or len(chunks) <= 1:
-        parts = [
-            compute_source_stats_chunk(arrays, object_stats, c.start, c.stop, half_life=half_life)
-            for c in chunks
-        ]
-    else:
-        parts = _parallel_chunks(arrays, object_stats, chunks, half_life, jobs)
-    return SourceStats.concat(parts)
-
-
-# ----------------------------------------------------------------------
-# Process-pool fan-out (module-global worker state, same discipline as
-# repro.experiments.parallel.ShardStatPool)
-# ----------------------------------------------------------------------
-_WORKER_STATE: Dict[str, object] = {}
-
-
-def _featurize_worker_init(state: Dict[str, object], descriptor) -> None:
-    _WORKER_STATE.clear()
-    arrays: Dict[str, np.ndarray] = dict(state["arrays"])
-    obj_arrays: Dict[str, np.ndarray] = dict(state["object_arrays"])
-    segment = None
-    if descriptor is not None:
-        from ..experiments.parallel import attach_shared_arrays
-
-        shared, segment = attach_shared_arrays(descriptor)
-        from ..experiments.parallel import resolve_shared
-
-        arrays = resolve_shared(arrays, shared)
-        obj_arrays = resolve_shared(obj_arrays, shared)
-    _WORKER_STATE["arrays"] = arrays
-    _WORKER_STATE["object_stats"] = ObjectStats(**obj_arrays)
-    _WORKER_STATE["half_life"] = state["half_life"]
-    _WORKER_STATE["segment"] = segment
-
-
-def _featurize_worker_chunk(start: int, stop: int) -> SourceStats:
-    return compute_source_stats_chunk(
-        _WORKER_STATE["arrays"],
-        _WORKER_STATE["object_stats"],
-        start,
-        stop,
-        half_life=_WORKER_STATE["half_life"],
-    )
-
-
-def _parallel_chunks(
-    arrays: Mapping[str, np.ndarray],
-    object_stats: ObjectStats,
-    chunks: Sequence[range],
-    half_life: float,
-    jobs: int,
-) -> List[SourceStats]:
-    from concurrent.futures import ProcessPoolExecutor
-
-    from ..experiments.parallel import (
-        SharedArrayPack,
-        extract_shared,
-        sharing_is_worthwhile,
-    )
-
-    state: Dict[str, object] = {
+    chunks = chunk_indices(n_sources, resolve_n_jobs(n_jobs))
+    state = {
         "arrays": {name: arrays[name] for name in STAT_ARRAYS},
         "object_arrays": object_stats.as_arrays(),
         "half_life": half_life,
     }
-    pack: Optional[SharedArrayPack] = None
-    descriptor = None
-    if sharing_is_worthwhile():
-        pool: Dict[str, np.ndarray] = {}
-        state["arrays"] = extract_shared(state["arrays"], pool, prefix="fz")
-        state["object_arrays"] = extract_shared(state["object_arrays"], pool, prefix="fzobj")
-        if pool:
-            pack = SharedArrayPack(pool)
-            descriptor = pack.descriptor
-    try:
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(chunks)),
-            initializer=_featurize_worker_init,
-            initargs=(state, descriptor),
-        ) as pool_exec:
-            futures = [pool_exec.submit(_featurize_worker_chunk, c.start, c.stop) for c in chunks]
-            return [f.result() for f in futures]
-    finally:
-        if pack is not None:
-            pack.release()
+    with WorkerPool(state, len(chunks)) as pool:
+        parts = pool.map(_stats_chunk_task, [(c.start, c.stop) for c in chunks])
+    return SourceStats.concat(parts)
+
+
+def _stats_chunk_task(state: Mapping[str, object], start: int, stop: int) -> SourceStats:
+    """One source-range chunk of :func:`compute_source_stats`."""
+    return compute_source_stats_chunk(
+        state["arrays"],
+        ObjectStats(**state["object_arrays"]),
+        start,
+        stop,
+        half_life=state["half_life"],
+    )
 
 
 # ----------------------------------------------------------------------

@@ -20,10 +20,10 @@ piece **bit-for-bit**:
   ``tests/fusion/test_posterior_store.py``).
 
 Shards are plain picklable array bundles, so a fit can fan its per-round
-shard E-steps out across the existing ``ProcessPoolExecutor`` plumbing
-(:class:`repro.experiments.parallel.ShardStatPool`) — each worker holds
-only its shard's arrays, which is what makes single-fit EM runnable on
-datasets whose full structure would crowd one process.
+shard E-steps out over worker processes (:func:`shard_worker_pool`, a
+:class:`repro.experiments.parallel.WorkerPool`): the shard arrays ship to
+each worker once, and every round only the trust vector and the
+per-shard partial statistics cross the process boundary.
 """
 
 from __future__ import annotations
@@ -232,24 +232,59 @@ def shard_expected_stats(
     return totals, mass
 
 
+def shard_worker_pool(
+    shards: List[StructureShard],
+    blocked_per_shard: List[np.ndarray],
+    n_sources: int,
+    n_jobs: Optional[int],
+):
+    """A :class:`~repro.experiments.parallel.WorkerPool` holding the shards.
+
+    Pass it to :func:`sharded_correctness_stats` to evaluate each round's
+    shard E-steps on ``n_jobs`` worker processes (at most one per shard;
+    one worker runs them in-process).  The caller closes the pool.
+    """
+    from ..experiments.parallel import WorkerPool, resolve_n_jobs
+
+    state = {
+        "shards": [shard.to_state() for shard in shards],
+        "blocked": list(blocked_per_shard),
+        "n_sources": int(n_sources),
+    }
+    return WorkerPool(state, min(resolve_n_jobs(n_jobs), len(shards)))
+
+
+def _pooled_shard_stats(state: Dict[str, object], index: int, trust: np.ndarray):
+    """One shard's partial statistics, as a :func:`shard_worker_pool` task."""
+    shard = StructureShard.from_state(state["shards"][index])
+    return shard_expected_stats(shard, trust, state["n_sources"], state["blocked"][index])
+
+
 def sharded_correctness_stats(
     shards: List[StructureShard],
     trust: np.ndarray,
     n_sources: int,
     blocked_per_shard: Optional[List[np.ndarray]] = None,
+    pool=None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Reduce per-shard partial statistics in shard-index order.
+    """Reduce per-shard partial statistics in ascending shard index.
 
-    The in-process counterpart of
-    :meth:`repro.experiments.parallel.ShardStatPool.stats`; both reduce
-    in ascending shard index, so serial and process-parallel sharded fits
+    ``pool`` (from :func:`shard_worker_pool` over the same shards) fans
+    the shard E-steps out over processes; the partials still come back
+    and sum in shard order, so serial and process-parallel sharded fits
     produce identical statistics.
     """
+    if pool is not None:
+        partials = pool.map(_pooled_shard_stats, [(i, trust) for i in range(len(shards))])
+    else:
+        blocked = blocked_per_shard if blocked_per_shard is not None else [None] * len(shards)
+        partials = [
+            shard_expected_stats(shard, trust, n_sources, rows)
+            for shard, rows in zip(shards, blocked)
+        ]
     totals = np.zeros(n_sources)
     mass = np.zeros(n_sources)
-    for i, shard in enumerate(shards):
-        blocked = blocked_per_shard[i] if blocked_per_shard is not None else None
-        shard_totals, shard_mass = shard_expected_stats(shard, trust, n_sources, blocked)
+    for shard_totals, shard_mass in partials:
         totals += shard_totals
         mass += shard_mass
     return totals, mass

@@ -148,7 +148,7 @@ class TestReport:
 class TestLiveTree:
     def test_repo_is_clean_including_strict(self):
         report = run_rules(Project(REPO_ROOT))
-        assert report.rules == ["RA1", "RA2", "RA3", "RA4"]
+        assert report.rules == ["RA1", "RA2", "RA3", "RA4", "RA5"]
         assert report.findings == [], "\n" + report.to_text()
         assert report.unused_suppressions == [], "\n" + report.to_text(strict=True)
 
@@ -191,7 +191,7 @@ class TestCLI:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         payload = json.loads(proc.stdout)
         assert payload["findings"] == []
-        assert payload["rules"] == ["RA1", "RA2", "RA3", "RA4"]
+        assert payload["rules"] == ["RA1", "RA2", "RA3", "RA4", "RA5"]
 
     def test_findings_exit_one(self, make_tree):
         root = make_tree({"src/repro/mod.py": _VIOLATION})
@@ -205,7 +205,7 @@ class TestCLI:
         assert json.loads(proc.stdout)["rules"] == ["RA1"]
         listing = _cli("--list-rules")
         assert listing.returncode == 0
-        assert all(rid in listing.stdout for rid in ("RA1", "RA2", "RA3", "RA4"))
+        assert all(rid in listing.stdout for rid in ("RA1", "RA2", "RA3", "RA4", "RA5"))
 
     def test_bad_root_exits_two(self, tmp_path):
         proc = _cli("--root", str(tmp_path))

@@ -1,4 +1,4 @@
-"""Good/bad fixture snippets for each rule family RA1-RA4.
+"""Good/bad fixture snippets for each rule family RA1-RA5.
 
 Each rule must demonstrably fail on its bad fixture and stay silent on
 the good one — this is the suite that keeps the analyzers honest.
@@ -541,6 +541,86 @@ class TestRA4CacheVersionHonesty:
         update_lock(root)
         findings = findings_for(root, ["RA4"])
         assert any("version = N" in f.message for f in findings)
+
+
+# ----------------------------------------------------------------------
+# RA5 — one fan-out site
+# ----------------------------------------------------------------------
+class TestRA5OneFanOutSite:
+    def test_flags_pools_and_segments_outside_parallel(self, make_tree):
+        root = make_tree(
+            {
+                "src/repro/mod.py": """
+                import multiprocessing as mp
+                from concurrent.futures import ProcessPoolExecutor as Executor
+                from multiprocessing import shared_memory
+
+                def fan_out(work):
+                    with Executor(max_workers=2) as pool:
+                        list(pool.map(work, range(4)))
+                    with mp.Pool(2) as pool:
+                        pool.map(work, range(4))
+                    segment = shared_memory.SharedMemory(create=True, size=8)
+                    return segment
+                """,
+                "examples/demo.py": """
+                import concurrent.futures
+                import multiprocessing
+                import multiprocessing.shared_memory
+
+                concurrent.futures.ProcessPoolExecutor()
+                multiprocessing.get_context("spawn").Pool(2)
+                multiprocessing.shared_memory.SharedMemory(name="x")
+                """,
+            }
+        )
+        findings = findings_for(root, ["RA5"])
+        assert rule_lines(findings, "RA5") == [
+            ("examples/demo.py", 6),
+            ("examples/demo.py", 7),
+            ("examples/demo.py", 8),
+            ("src/repro/mod.py", 7),
+            ("src/repro/mod.py", 9),
+            ("src/repro/mod.py", 11),
+        ]
+        assert "WorkerPool" in findings[0].message
+
+    def test_parallel_module_is_allowlisted(self, make_tree):
+        root = make_tree(
+            {
+                "src/repro/experiments/parallel.py": """
+                from concurrent.futures import ProcessPoolExecutor
+                from multiprocessing import shared_memory
+
+                def pool(n):
+                    return ProcessPoolExecutor(max_workers=n)
+
+                def segment(size):
+                    return shared_memory.SharedMemory(create=True, size=size)
+                """
+            }
+        )
+        assert findings_for(root, ["RA5"]) == []
+
+    def test_good_fixture_is_clean(self, make_tree):
+        root = make_tree(
+            {
+                "src/repro/mod.py": """
+                import multiprocessing
+                from concurrent.futures import ThreadPoolExecutor
+
+                from repro.experiments.parallel import WorkerPool
+
+                def fan_out(state, task, args):
+                    with WorkerPool(state, n_workers=2) as pool:
+                        results = pool.map(task, args)
+                    with ThreadPoolExecutor(2) as threads:
+                        list(threads.map(print, results))
+                    return multiprocessing.get_start_method()
+                """
+            }
+        )
+        assert findings_for(root, ["RA5"]) == []
 
 
 # ----------------------------------------------------------------------

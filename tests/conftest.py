@@ -72,3 +72,45 @@ def multi_valued_dataset() -> FusionDataset:
             name="multi-synth",
         )
     ).dataset
+
+
+class SegmentLog(list):
+    """Names of the shared-memory segments created while a test ran."""
+
+    def still_linked(self):
+        """The recorded segments that were never unlinked."""
+        from multiprocessing import shared_memory
+
+        linked = []
+        for name in self:
+            try:
+                segment = shared_memory.SharedMemory(name=name)
+            except FileNotFoundError:
+                continue
+            segment.close()
+            linked.append(name)
+        return linked
+
+
+@pytest.fixture
+def forced_shared_transport(monkeypatch):
+    """Send every array of a ``WorkerPool`` state through shared memory.
+
+    Under ``fork`` the pool state is inherited and never packed; forcing
+    the ``spawn``-style transport (any array size) exercises pack/attach
+    on every platform.  Returns a :class:`SegmentLog` of the segments the
+    pools created, so a test can check they were used and unlinked.
+    """
+    import repro.experiments.parallel as parallel
+
+    created = SegmentLog()
+
+    class RecordingPack(parallel.SharedArrayPack):
+        def __init__(self, arrays):
+            super().__init__(arrays)
+            created.append(self.descriptor["segment"])
+
+    monkeypatch.setattr(parallel, "sharing_is_worthwhile", lambda: True)
+    monkeypatch.setattr(parallel, "SHARED_ARRAY_MIN_BYTES", 1)
+    monkeypatch.setattr(parallel, "SharedArrayPack", RecordingPack)
+    return created

@@ -14,6 +14,8 @@ plateau, exactly like the EM warm-solver contract.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from repro.core.structure import build_masked_structure
 from repro.data import SyntheticConfig, generate
 from repro.experiments import FitSpec, SweepRunner, leave_one_out_specs, sweep
 from repro.extensions import leave_one_out_impacts
+from repro.featurize import FeaturizerPipeline
 from repro.fusion.dataset import subset_sources
 
 import oracles
@@ -388,6 +391,19 @@ class TestRunnerBehaviour:
             sweep(dataset, ["majority"], (0.2,), seeds=(0,), mode="Batched")
 
 
+class ParentOnlyFeaturizer(FeaturizerPipeline):
+    """A pipeline whose ``design_for`` fails outside the process that made it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.parent_pid = os.getpid()
+
+    def design_for(self, source, **kwargs):
+        if os.getpid() != self.parent_pid:
+            raise AssertionError("featurized design recomputed in a sweep worker")
+        return super().design_for(source, **kwargs)
+
+
 class TestParallelExecution:
     """Cross-process determinism contract of ``SweepRunner(n_jobs=...)``.
 
@@ -455,6 +471,7 @@ class TestParallelExecution:
         # Force every array through the shared segment regardless of size,
         # exercising pack/attach on platforms where fork would otherwise
         # bypass it.
+        monkeypatch.setattr(parallel_module, "sharing_is_worthwhile", lambda: True)
         monkeypatch.setattr(parallel_module, "SHARED_ARRAY_MIN_BYTES", 1)
         specs = _em_specs(dataset, fractions=(0.1, 0.3)) + leave_one_out_specs(
             dataset,
@@ -463,8 +480,24 @@ class TestParallelExecution:
             overrides={"max_iterations": 4, **TIGHT},
         )
         serial = SweepRunner(dataset, mode="batched").run(specs)
-        shm = SweepRunner(dataset, mode="batched", n_jobs=2, shared_memory=True).run(specs)
+        shm = SweepRunner(dataset, mode="batched", n_jobs=2).run(specs)
         _assert_fits_match(serial, shm)
+
+    def test_featurized_designs_are_computed_in_the_parent(self, dataset):
+        featurizer = ParentOnlyFeaturizer()
+        specs = [
+            FitSpec(
+                name=f"fz@{fraction}",
+                learner="em",
+                train_truth=dataset.split(fraction, seed=0).train_truth,
+                overrides={"max_iterations": 4, **TIGHT},
+                featurizer=featurizer,
+            )
+            for fraction in (0.1, 0.2, 0.3)
+        ]
+        serial = SweepRunner(dataset, mode="batched").run(specs)
+        parallel = SweepRunner(dataset, mode="batched", n_jobs=2).run(specs)
+        _assert_fits_match(serial, parallel)
 
     def test_single_spec_stays_in_process(self, dataset):
         runner = SweepRunner(dataset, mode="batched", n_jobs=4)
@@ -494,8 +527,6 @@ class TestParallelExecution:
             SweepRunner(dataset, mode="isolated", n_jobs=2)
         with pytest.raises(ValueError, match="positive integer"):
             SweepRunner(dataset, n_jobs=0)
-        with pytest.raises(ValueError, match="shared_memory"):
-            SweepRunner(dataset, shared_memory="always")
         with pytest.raises(ValueError, match="unknown learner"):
             SweepRunner(dataset, n_jobs=2).run(
                 [FitSpec(name="a", learner="gibbs"), FitSpec(name="b", learner="gibbs")]

@@ -145,6 +145,18 @@ class TestChunkInvariance:
             assert np.array_equal(getattr(serial, name), getattr(parallel, name)), name
 
 
+    def test_shared_memory_transport_matches_serial(self, forced_shared_transport):
+        # The spawn-style transport: workers read the flat arrays from one
+        # shared segment, and the result is still bit-identical.
+        ds = _random_dataset(7, 12, 30, 3)
+        arrays = _arrays(ds)
+        serial = compute_source_stats(arrays, ds.n_sources, n_jobs=1)
+        parallel = compute_source_stats(arrays, ds.n_sources, n_jobs=3)
+        for name in SourceStats.ARRAY_FIELDS:
+            assert np.array_equal(getattr(serial, name), getattr(parallel, name)), name
+        assert len(forced_shared_transport) == 1
+        assert forced_shared_transport.still_linked() == []
+
 class TestRunningSourceStats:
     INT_FIELDS = ("n_claims", "n_solo", "n_consensus", "n_contradicted", "first_row", "last_row")
     FLOAT_FIELDS = (

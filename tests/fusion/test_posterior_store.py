@@ -317,6 +317,19 @@ class TestShardCountInvariance:
             parallel.source_accuracy_vector, serial.source_accuracy_vector
         )
 
+    def test_shared_memory_transport_matches_serial(self, skewed_dataset, forced_shared_transport):
+        # The spawn-style transport: shard arrays reach the workers through
+        # one shared segment, which is unlinked once the fit ends.
+        train = dict(list(skewed_dataset.ground_truth.items())[:12])
+        serial = _fit_predict(skewed_dataset, train, n_shards=3)
+        parallel = _fit_predict(skewed_dataset, train, n_shards=3, shard_jobs=2)
+        np.testing.assert_array_equal(parallel.value_codes, serial.value_codes)
+        np.testing.assert_array_equal(
+            parallel.source_accuracy_vector, serial.source_accuracy_vector
+        )
+        assert len(forced_shared_transport) == 1
+        assert forced_shared_transport.still_linked() == []
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="positive integer"):
             EMLearner(EMConfig(n_shards=0))

@@ -1,6 +1,6 @@
 """Repo-aware static analysis for the SLiMFast reproduction.
 
-``python -m tools.repro_analysis`` runs four rule families over the tree
+``python -m tools.repro_analysis`` runs five rule families over the tree
 (zero dependencies, pure ``ast``), each enforcing an invariant the
 runtime differential suites otherwise catch only as flaky failures:
 
@@ -25,6 +25,10 @@ runtime differential suites otherwise catch only as flaky failures:
   digested into ``versions.lock``; editing one without bumping its
   ``version`` / ``FEATURIZER_VERSION`` fails, keeping ``FeatureCache``
   keys honest.  ``--update-lock`` refreshes the lock.
+* **RA5 — one fan-out site.**  ``ProcessPoolExecutor``,
+  ``multiprocessing.Pool`` and ``shared_memory.SharedMemory`` are
+  constructed only in ``src/repro/experiments/parallel.py``; every other
+  process fan-out goes through its ``WorkerPool``.
 
 Per-line suppression: ``# repro-analysis: ignore[RA2]`` on the flagged
 line, the line above it, or the ``def``/``class`` header (covers the

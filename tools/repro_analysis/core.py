@@ -226,7 +226,7 @@ def _file_index(project: Project) -> Dict[str, SourceFile]:
 def run_rules(project: Project, rule_ids: Optional[Sequence[str]] = None) -> Report:
     """Run the selected rules and partition findings by suppression."""
     # Import for side effect: rule modules self-register on import.
-    from . import backends, determinism, locks, versions  # noqa: F401
+    from . import backends, determinism, fanout, locks, versions  # noqa: F401
 
     selected = list(rule_ids) if rule_ids else sorted(RULES)
     unknown = [rid for rid in selected if rid not in RULES]
